@@ -126,12 +126,14 @@ def _run_angle(args, writer: ArtifactWriter) -> dict:
 
         prec = _default_prec(args) or 64
         result = external_angle(parse_cf_text(args.cf), prec)
+        exact = result.exact_pair is not None
         doc = {
             "approx": str(result.approx),
-            "bound": f"2^-{prec - 1}",
+            # a rational rotation number has its landing pair exactly
+            "bound": "0" if exact else f"2^-{prec - 1}",
             "iterates": [str(a) for a in result.iterates],
         }
-        if result.exact_pair is not None:
+        if exact:
             doc["exact_pair"] = [str(a) for a in result.exact_pair]
         writer.write_json("angle.json", doc)
         return doc
@@ -423,8 +425,10 @@ def _run_accept(args, writer: ArtifactWriter) -> dict:
     from .acceptance import run_all
 
     results = run_all()
+    # under --json, stdout carries only the JSON document
+    verdicts = sys.stderr if args.json else sys.stdout
     for r in results:
-        print(r.line)
+        print(r.line, file=verdicts)
     doc = {
         "passed": all(r.passed for r in results),
         "criteria": [

@@ -7,13 +7,27 @@ denominators lam^n - lam.  The radius of convergence of that series is the
 conformal radius of the linearization domain; everything returned here is an
 estimate read off finitely many coefficients, never a certified value, and
 the diagnostics say how much to trust it.
+
+Fixed-point contract: the coefficient recursion, the circle probe and the
+functional residual run on Gaussian integers, a complex number x + iy held
+as the Python ints round(x * 2^f), round(y * 2^f) with f = prec + 32
+fractional bits.  A fixed-point convolution or Horner evaluation over an
+order-N series truncates by an absolute error of order N * 2^-(prec+32), so
+the residual still resolves defects far below 1e-60 at 256 bits.  The probe
+is a full-precision minimum over the sampled circle, one fixed-point Horner
+evaluation per sample, not a float DFT.  Every mpf <-> int conversion
+happens inside mp.workprec(prec), because mp.nint and mpf(int) round to the
+ambient precision (53 bits by default).  The public values stay mpmath
+numbers at prec bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import isqrt
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from mpmath import mp, mpc, mpf
 
@@ -47,20 +61,89 @@ class LinearizationSeries:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def evaluate(self, w: complex) -> mpc:
-        """Truncated series value by Horner evaluation from the top."""
-        with mp.workprec(self.prec):
-            acc = mpc(0)
-            for b in reversed(self.coeffs):
-                acc = acc * w + b
-            return acc * w
 
-    def residual(self, w: complex) -> mpc:
-        """Functional-equation defect phi(lam*w) - lam*phi(w) - phi(w)^2."""
-        with mp.workprec(self.prec):
-            left = self.evaluate(self.lam * w)
-            right = self.evaluate(w)
-            return left - self.lam * right - right * right
+_GUARD_BITS = 32
+
+
+def _to_fixed(z: mpc, frac: int) -> tuple[int, int]:
+    return int(mp.nint(mp.ldexp(z.real, frac))), int(mp.nint(mp.ldexp(z.imag, frac)))
+
+
+def _from_fixed(re: int, im: int, frac: int) -> mpc:
+    return mpc(mpf((re, -frac)), mpf((im, -frac)))
+
+
+def _fixed_sqrt(norm2: int, frac: int) -> mpf:
+    """sqrt of a squared modulus at scale 2^(2 frac), back at scale 2^-frac."""
+    return mpf((isqrt(norm2), -frac))
+
+
+def _scaled_fixed(
+    series: LinearizationSeries, radius: mpf, frac: int
+) -> tuple[list[int], list[int]]:
+    """c_n = b_n * radius^n as fixed-point ints, ordered c_N, ..., c_1, c_0 = 0.
+
+    Evaluating sum c_n u^n on |u| = 1 is evaluating phi on |w| = radius, with
+    integers of about frac bits instead of frac + n * log2(1/radius).
+    radius^n is carried as pw * 2^-shift with pw cut back to frac +
+    _GUARD_BITS bits whenever shift allows, so it keeps its relative
+    precision however small it gets.
+    """
+    rho = int(mp.nint(mp.ldexp(radius, frac)))
+    pw, shift = 1, 0
+    re, im = [0], [0]
+    for b in series.coeffs:
+        pw *= rho
+        shift += frac
+        excess = min(pw.bit_length() - frac - _GUARD_BITS, shift)
+        if excess > 0:
+            pw >>= excess
+            shift -= excess
+        br, bi = _to_fixed(b, frac)
+        re.append((br * pw) >> shift)
+        im.append((bi * pw) >> shift)
+    re.reverse()
+    im.reverse()
+    return re, im
+
+
+def _horner(
+    re: Sequence[int], im: Sequence[int], ur: int, ui: int, frac: int
+) -> tuple[int, int]:
+    """Fixed-point Horner: sum c_n u^n over coefficients given highest first.
+
+    Each step multiplies by u with three integer products instead of four.
+    """
+    us, ud = ur + ui, ui - ur
+    ar = ai = 0
+    for cr, ci in zip(re, im):
+        k = ur * (ar + ai)
+        ar, ai = ((k - ai * us) >> frac) + cr, ((k + ar * ud) >> frac) + ci
+    return ar, ai
+
+
+def _unit_points(samples: int, frac: int) -> list[tuple[int, int]]:
+    return [_to_fixed(mp.expjpi(mpf(2 * k) / samples), frac) for k in range(samples)]
+
+
+def _small_denominators(lam: mpc, order: int, prec: int) -> Iterator[tuple[int, int]]:
+    """lam^n - lam for n = 2..order at scale 2^(2 (prec + _GUARD_BITS)).
+
+    The floor test runs on the mpc value, and any denominator below it is
+    refused.  At that scale the conversion is exact: |d| >= 2^-(prec-8), so
+    the last bit of its prec-bit mantissa lies above 2^-(2 prec + 64).
+    """
+    floor = mpf(2) ** (-(prec - 8))
+    scale = 2 * (prec + _GUARD_BITS)
+    lam_pow = lam
+    for n in range(2, order + 1):
+        lam_pow *= lam
+        denom = lam_pow - lam
+        if abs(denom) < floor:
+            raise PrecisionError(
+                f"small denominator at n={n} is below working precision"
+            )
+        yield _to_fixed(denom, scale)
 
 
 def linearization_coeffs(
@@ -72,29 +155,46 @@ def linearization_coeffs(
     coefficients.  A small denominator indistinguishable from zero at the
     working precision aborts with the offending index, since every later
     coefficient would be garbage.
+
+    The recursion runs on fixed-point Gaussian integers at scale
+    2^(prec+32): the convolution is summed exactly as the symmetric half-sum
+    2 * sum_{i<n/2} b_i b_{n-i} (+ b_{n/2}^2 for even n) and divided once,
+    rounding to nearest, by the denominator as t * conj(d) / |d|^2.  The
+    sum is exact, so each coefficient is rounded once at that division and
+    once more back to a prec-bit mpc.
     """
     if cf.is_rational:
         raise InvariantError("linearization needs an irrational rotation number")
     if order < 2:
         raise InvariantError("need order >= 2")
+    frac = prec + _GUARD_BITS
     with mp.workprec(prec):
         theta = cf.value_mpf(prec)
         lam = mp.expjpi(2 * theta)
-        floor = mpf(2) ** (-(prec - 8))
-        b: list[mpc] = [mpc(0), mpc(1)]
-        lam_pow = lam
-        for n in range(2, order + 1):
-            lam_pow *= lam
-            denom = lam_pow - lam
-            if abs(denom) < floor:
-                raise PrecisionError(
-                    f"small denominator at n={n} is below working precision"
-                )
-            total = mpc(0)
-            for i in range(1, n):
-                total += b[i] * b[n - i]
-            b.append(total / denom)
-        return LinearizationSeries(lam=lam, coeffs=tuple(b[1:]), prec=prec)
+        # su[n] = re[n] + im[n]: the imaginary part of the convolution is
+        # sum(su su) - sum(re re) - sum(im im), three sums of products, not four
+        re, im, su = [0, 1 << frac], [0, 0], [0, 1 << frac]
+        for n, (dr, di) in enumerate(_small_denominators(lam, order, prec), start=2):
+            h = (n + 1) // 2
+            rr = sum(map(mul, re[1:h], re[n - 1 : n - h : -1]))
+            ii = sum(map(mul, im[1:h], im[n - 1 : n - h : -1]))
+            ss = sum(map(mul, su[1:h], su[n - 1 : n - h : -1]))
+            tr, ti = 2 * (rr - ii), 2 * (ss - rr - ii)
+            if n % 2 == 0:
+                mr, mi = re[h], im[h]
+                tr += mr * mr - mi * mi
+                ti += 2 * mr * mi
+            # t and d are both at scale 2^(2 frac), so t / d lands at 2^frac
+            # after the numerator is shifted up by frac
+            norm = dr * dr + di * di
+            half = norm >> 1
+            br = (((tr * dr + ti * di) << frac) + half) // norm
+            bi = (((ti * dr - tr * di) << frac) + half) // norm
+            re.append(br)
+            im.append(bi)
+            su.append(br + bi)
+        coeffs = tuple(_from_fixed(r, i, frac) for r, i in zip(re[1:], im[1:]))
+        return LinearizationSeries(lam=lam, coeffs=coeffs, prec=prec)
 
 
 @dataclass(frozen=True)
@@ -161,22 +261,23 @@ def inner_radius_probe(
     """Probe min |phi(w)| over equispaced w on the circle |w| = 0.98 * r_hat.
 
     The result is a sampled proxy for the distance from the fixed point to
-    the boundary of the linearization domain.
+    the boundary of the linearization domain.  Every sample is a
+    full-precision fixed-point Horner evaluation of the truncated series (not
+    a float DFT), so the minimum is exact up to about N * 2^-(prec+32).
     """
     if samples < 8:
         raise InvariantError("need at least 8 samples")
+    frac = series.prec + _GUARD_BITS
     with mp.workprec(series.prec):
         radius = mpf("0.98") * mpf(r_hat)
-        best = None
-        for k in range(samples):
-            w = radius * mp.expjpi(mpf(2 * k) / samples)
-            value = abs(series.evaluate(w))
-            if best is None or value < best:
-                best = value
+        re, im = _scaled_fixed(series, radius, frac)
+        points = _unit_points(samples, frac)
+        values = (_horner(re, im, ur, ui, frac) for ur, ui in points)
+        value = _fixed_sqrt(min(fr * fr + fi * fi for fr, fi in values), frac)
         top = abs(series.coeffs[-1]) * radius ** series.order
         tail = top * mpf("0.98") / (1 - mpf("0.98"))
-        flagged = bool(tail > mpf("0.01") * best)
-    return InnerProbe(value=best, tail_flagged=flagged, samples=samples)
+        flagged = bool(tail > mpf("0.01") * value)
+    return InnerProbe(value=value, tail_flagged=flagged, samples=samples)
 
 
 def functional_residual(
@@ -185,17 +286,25 @@ def functional_residual(
     """Max |phi(lam w) - lam phi(w) - phi(w)^2| over a sampled circle.
 
     Sampling happens on |w| = factor * r_hat, well inside the estimated
-    convergence disk so the truncated series is trustworthy there.
+    convergence disk so the truncated series is trustworthy there.  The
+    fixed-point evaluation resolves defects down to about N * 2^-(prec+32),
+    far below 1e-60 at the default 256 bits.
     """
+    frac = series.prec + _GUARD_BITS
     with mp.workprec(series.prec):
         radius = mpf(factor) * mpf(r_hat)
-        worst = mpf(0)
-        for k in range(samples):
-            w = radius * mp.expjpi(mpf(2 * k) / samples)
-            value = abs(series.residual(w))
-            if value > worst:
-                worst = value
-        return worst
+        re, im = _scaled_fixed(series, radius, frac)
+        lr, li = _to_fixed(series.lam, frac)
+        worst = 0
+        for ur, ui in _unit_points(samples, frac):
+            fr, fi = _horner(re, im, ur, ui, frac)
+            qr, qi = _horner(
+                re, im, (lr * ur - li * ui) >> frac, (lr * ui + li * ur) >> frac, frac
+            )
+            dr = qr - ((lr * fr - li * fi + fr * fr - fi * fi) >> frac)
+            di = qi - ((lr * fi + li * fr + 2 * fr * fi) >> frac)
+            worst = max(worst, dr * dr + di * di)
+        return _fixed_sqrt(worst, frac)
 
 
 def koebe_bound_F(x: "Fraction | float") -> "Fraction | float":

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from quaddyn import acceptance
+from quaddyn.acceptance import CriterionResult
 from quaddyn.cli import main
 
 
@@ -65,6 +67,35 @@ def test_angle_external_form(tmp_path, capsys):
     assert doc["bound"] == "2^-15"
     assert doc["iterates"][:3] == ["1/3", "5/7", "21/31"]
     assert doc["approx"] == doc["iterates"][-1]
+
+
+def test_angle_rational_expansion_is_exact(tmp_path, capsys):
+    code, out, _ = _run(
+        capsys, ["angle", "--cf", "1,2", "--out", str(tmp_path), "--json"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exact_pair"] == ["5/7", "6/7"]
+    assert doc["bound"] == "0"
+
+
+def _fake_results():
+    return [
+        CriterionResult("X01", "first", True, "fine", 0.1, 1.0),
+        CriterionResult("X02", "second", False, "broken", 0.2, 1.0),
+    ]
+
+
+def test_accept_json_prints_one_document(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "run_all", _fake_results)
+    code, out, err = _run(capsys, ["accept", "--out", str(tmp_path), "--json"])
+    assert code == 1
+    doc = json.loads(out)
+    assert [c["id"] for c in doc["criteria"]] == ["X01", "X02"]
+    assert doc["passed"] is False
+    assert err.splitlines() == [r.line for r in _fake_results()]
+    code, out, _ = _run(capsys, ["accept", "--out", str(tmp_path)])
+    assert out.splitlines()[:2] == [r.line for r in _fake_results()]
 
 
 def test_angle_doubling_form(tmp_path, capsys):

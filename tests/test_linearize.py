@@ -1,15 +1,20 @@
 """Linearization series for the quadratic with an irrationally indifferent
-fixed point: coefficient identities, radius estimates, probes, distortion."""
+fixed point: coefficient identities, radius estimates, probes, distortion.
 
+The fixed-point kernel is checked against an mpc oracle: the plain
+convolution recursion and Horner evaluation at the series' own precision."""
+
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mp
+from mpmath import mp, mpc, mpf
 
-from quaddyn.cfrac import CFExpansion
+from quaddyn.cfrac import CFExpansion, brjuno_sum, perturbed_cf
 from quaddyn.errors import InvariantError, PrecisionError
 from quaddyn.linearize import (
+    LinearizationSeries,
     conformal_radius_estimate,
     functional_residual,
     inner_radius_probe,
@@ -20,8 +25,81 @@ from quaddyn.linearize import (
 
 GOLDEN = CFExpansion((), (1,))
 SILVER = CFExpansion((), (2,))
+C08_MEMBER = perturbed_cf((1, 2, 1, 1, 2, 1), 2)
+ORACLE_ANGLES = [GOLDEN, SILVER, C08_MEMBER]
 
 GOLDEN_R_HAT_256 = 0.33661267179925614
+
+
+# -- mpc oracle ----------------------------------------------------------------
+
+
+def oracle_coeffs(cf, order, prec):
+    """The full convolution recursion in mpc arithmetic at prec bits."""
+    with mp.workprec(prec):
+        theta = cf.value_mpf(prec)
+        lam = mp.expjpi(2 * theta)
+        floor = mpf(2) ** (-(prec - 8))
+        b = [mpc(0), mpc(1)]
+        lam_pow = lam
+        for n in range(2, order + 1):
+            lam_pow *= lam
+            denom = lam_pow - lam
+            if abs(denom) < floor:
+                raise PrecisionError(
+                    f"small denominator at n={n} is below working precision"
+                )
+            total = mpc(0)
+            for i in range(1, n):
+                total += b[i] * b[n - i]
+            b.append(total / denom)
+        return LinearizationSeries(lam=lam, coeffs=tuple(b[1:]), prec=prec)
+
+
+def oracle_evaluate(series, w):
+    with mp.workprec(series.prec):
+        acc = mpc(0)
+        for b in reversed(series.coeffs):
+            acc = acc * w + b
+        return acc * w
+
+
+def _oracle_circle(radius, samples):
+    return [radius * mp.expjpi(mpf(2 * k) / samples) for k in range(samples)]
+
+
+def oracle_probe(series, r_hat, samples=512):
+    with mp.workprec(series.prec):
+        radius = mpf("0.98") * mpf(r_hat)
+        circle = _oracle_circle(radius, samples)
+        best = min(abs(oracle_evaluate(series, w)) for w in circle)
+        top = abs(series.coeffs[-1]) * radius**series.order
+        tail = top * mpf("0.98") / (1 - mpf("0.98"))
+        return best, bool(tail > mpf("0.01") * best)
+
+
+def oracle_residual(series, r_hat, factor=0.5, samples=64):
+    with mp.workprec(series.prec):
+        lam = series.lam
+        worst = mpf(0)
+        for w in _oracle_circle(mpf(factor) * mpf(r_hat), samples):
+            left = oracle_evaluate(series, lam * w)
+            right = oracle_evaluate(series, w)
+            worst = max(worst, abs(left - lam * right - right * right))
+        return worst
+
+
+@pytest.fixture(scope="module")
+def oracle_256():
+    """Oracle series at order 256 and 256 bits, built once per angle."""
+    cache = {}
+
+    def get(cf):
+        if cf not in cache:
+            cache[cf] = oracle_coeffs(cf, 256, 256)
+        return cache[cf]
+
+    return get
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +145,60 @@ def test_coefficients_agree_across_precisions():
 
 
 def test_small_denominator_reported():
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError) as expected:
+        oracle_coeffs(GOLDEN, 200, prec=8)
+    with pytest.raises(PrecisionError) as got:
         linearization_coeffs(GOLDEN, 200, prec=8)
+    assert "n=" in str(got.value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("prec", [192, 320])
+@pytest.mark.parametrize("cf", ORACLE_ANGLES, ids=["golden", "silver", "c08"])
+def test_coefficients_match_mpc_oracle(cf, prec):
+    fast = linearization_coeffs(cf, 256, prec=prec)
+    slow = oracle_coeffs(cf, 256, prec)
+    with mp.workprec(prec):
+        assert fast.lam == slow.lam
+        for a, b in zip(fast.coeffs, slow.coeffs, strict=True):
+            assert abs(a - b) <= abs(b) * mpf(2) ** -(prec - 16)
+
+
+@pytest.mark.parametrize("cf", ORACLE_ANGLES, ids=["golden", "silver", "c08"])
+def test_probe_and_residual_match_mpc_oracle(cf, oracle_256):
+    fast = linearization_coeffs(cf, 256, prec=256)
+    slow = oracle_256(cf)
+    est = conformal_radius_estimate(fast)
+    slow_est = conformal_radius_estimate(slow)
+    assert float(est.r_hat) == float(slow_est.r_hat)
+    probe = inner_radius_probe(fast, est.r_hat)
+    value, flagged = oracle_probe(slow, slow_est.r_hat)
+    assert float(probe.value) == float(value)
+    assert probe.tail_flagged == flagged
+    residual = functional_residual(fast, est.r_hat)
+    expected = oracle_residual(slow, slow_est.r_hat)
+    assert abs(residual - expected) < mpf("1e-70")
+
+
+def test_fixed_point_kernel_ignores_ambient_precision(oracle_256):
+    # Conversions between mpf and the fixed-point ints must happen at the
+    # series' precision; mp.nint and mpf(int) otherwise round to mp.prec.
+    slow = oracle_256(GOLDEN)
+    r_hat = conformal_radius_estimate(slow).r_hat
+    with mp.workprec(256):
+        tol = mpf(2) ** -200
+        want_probe = oracle_probe(slow, r_hat, samples=16)[0]
+        want_res = oracle_residual(slow, r_hat, factor=0.9, samples=8)
+    for ambient in (53, 64):
+        with mp.workprec(ambient):
+            series = linearization_coeffs(GOLDEN, 256, prec=256)
+            probe = inner_radius_probe(series, r_hat, samples=16)
+            res = functional_residual(series, r_hat, factor=0.9, samples=8)
+        with mp.workprec(256):
+            for a, b in zip(series.coeffs, slow.coeffs, strict=True):
+                assert abs(a - b) <= abs(b) * tol
+            assert abs(probe.value - want_probe) <= want_probe * tol
+            assert abs(res - want_res) <= want_res * tol
 
 
 def test_order_must_be_positive():
@@ -151,3 +281,32 @@ def test_ratio_experiment_golden_prefix_small():
     base = float(table.base_r_hat)
     for row in table.rows:
         assert float(row.scaled) / 2 < base
+
+
+def _bounded_type_angles(count, seed):
+    rng = random.Random(seed)
+    angles = []
+    for _ in range(count):
+        pre = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3)))
+        per = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+        angles.append(CFExpansion(pre, per))
+    return angles
+
+
+def test_yoccoz_buff_cheritat_upsilon_band():
+    """Upsilon(theta) = Phi(theta) + log r(theta) on bounded-type angles.
+
+    Yoccoz (Asterisque 231, 1995) proved Upsilon bounded and Buff and
+    Cheritat (Ann. Math. 164, 2006) proved it continuous, so over
+    bounded-type angles it stays in a narrow band.  Upsilon-hat =
+    brjuno_sum(cf, 60) + log r-hat is an estimate, not a certified bound:
+    r-hat is the root test on 256 coefficients.  The band [0.1, 0.9]
+    brackets the 0.171..0.762 measured on these fifty angles, and is the
+    first check of r-hat that does not come from the series itself.
+    """
+    fixed = [CFExpansion((), tail) for tail in ((1,), (2,), (1, 2), (3,), (1, 5))]
+    for cf in fixed + _bounded_type_angles(45, 2014):
+        est = conformal_radius_estimate(linearization_coeffs(cf, 256, prec=256))
+        assert est.reliable, cf
+        upsilon = brjuno_sum(cf, 60) + mp.log(est.r_hat)
+        assert 0.1 <= upsilon <= 0.9, (cf, float(upsilon))
