@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvariantError
 
@@ -99,8 +99,3 @@ def cyclic_sort(angles: Iterable[Angle]) -> list[Angle]:
         if u == v:
             raise InvariantError(f"duplicate angle in cyclic_sort: {u}")
     return ordered
-
-
-def parse_angles(items: Sequence[str]) -> list[Angle]:
-    """Convenience for CLI input lists."""
-    return [Angle.parse(s) for s in items]

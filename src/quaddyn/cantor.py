@@ -136,11 +136,11 @@ class HalfCircleArc:
         return CircleInterval(self.low.lo, self.low.lo + HALF + self.low.width)
 
 
-def _alpha_bracket(cf: CFExpansion, n: int) -> tuple[Fraction, Fraction]:
+def _alpha_bracket(cf: CFExpansion, n: int) -> CircleInterval:
     """Exact rational bracket of width 2^(2-n) around alpha."""
     result = external_angle(cf, n)
-    center = result.approx.fraction
-    return center - result.bound, center + result.bound
+    lo = (result.approx.fraction - result.bound) % 1
+    return CircleInterval(lo, lo + 2 * result.bound)
 
 
 def build_arc(cf: CFExpansion, prec: int = 64) -> HalfCircleArc:
@@ -156,16 +156,16 @@ def build_arc(cf: CFExpansion, prec: int = 64) -> HalfCircleArc:
         raise InvariantError("the Cantor construction needs an irrational angle")
     if prec < 4:
         raise InvariantError("need prec >= 4")
-    a_lo, a_hi = _alpha_bracket(cf, prec + 2)
+    alpha = _alpha_bracket(cf, prec + 2)
     scale = 1 << (prec + 1)
-    lo = Fraction((a_lo * scale).__floor__(), scale)
-    hi = Fraction((a_hi * scale).__ceil__(), scale)
+    lo = Fraction((alpha.lo * scale).__floor__(), scale)
+    hi = Fraction((alpha.hi * scale).__ceil__(), scale)
     if hi - lo > Fraction(1, 2**prec) * 2:
         raise PrecisionError("alpha bracket wider than requested")
     g_lo, width = (lo / 2) % 1, (hi - lo) / 2
     low = CircleInterval(g_lo, g_lo + width)
     high = CircleInterval((g_lo + HALF) % 1, (g_lo + HALF) % 1 + width)
-    return HalfCircleArc(low=low, high=high, alpha=CircleInterval(a_lo % 1, a_lo % 1 + (a_hi - a_lo)))
+    return HalfCircleArc(low=low, high=high, alpha=alpha)
 
 
 def membership(
@@ -182,24 +182,22 @@ def membership(
     """
     if depth < 0:
         raise InvariantError("depth must be nonnegative")
-    if isinstance(a, CircleInterval):
-        lo, width = a.lo, a.width
-    else:
-        lo = (a.fraction if isinstance(a, Angle) else Fraction(a)) % 1
-        width = Fraction(0)
+    if not isinstance(a, CircleInterval):
+        x = (a.fraction if isinstance(a, Angle) else Fraction(a)) % 1
+        a = CircleInterval(x, x)
     seen: set[Fraction] = set()
     gap_hit = False
     for _ in range(depth + 1):
-        if width == 0:
-            if lo in seen:
+        if a.width == 0:
+            if a.lo in seen:
                 break
-            seen.add(lo)
-        side = arc.classify(lo, width)
+            seen.add(a.lo)
+        side = arc.classify(a.lo, a.width)
         if side == -1:
             return Membership.OUTSIDE
         if side == 0:
             gap_hit = True
-        lo, width = (2 * lo) % 1, 2 * width
+        a = a.doubled()
     return Membership.UNDECIDED if gap_hit else Membership.INSIDE
 
 
@@ -277,17 +275,16 @@ def dense_orbit(
     """
     if count < 1:
         raise InvariantError("need at least one orbit point")
-    a_lo, a_hi = _alpha_bracket(cf, prec + 2)
+    bracket = _alpha_bracket(cf, prec + 2)
     out: list[CircleInterval] = []
-    lo, width = a_lo % 1, a_hi - a_lo
     for _ in range(count):
-        if width > Fraction(1, 4):
+        if bracket.width > Fraction(1, 4):
             raise PrecisionError(
                 f"orbit bracket beyond width 1/4; start near 2^-{count + 2} "
                 "relative to the target width instead"
             )
-        out.append(CircleInterval(lo, lo + width))
-        lo, width = (2 * lo) % 1, 2 * width
+        out.append(bracket)
+        bracket = bracket.doubled()
     return out
 
 
@@ -314,6 +311,13 @@ def semiconjugacy_check(
     disjoint; the alpha precision is escalated (starting from min_prec) until
     they are, because true orbit gaps can sit far below any fixed precision.
     Escalation failing to separate the brackets raises PrecisionError.
+
+    Disjointness is tested only between brackets whose midpoints are
+    neighbours in circle order.  That is enough: if brackets i and j meet,
+    together they cover the short arc between their midpoints, so any
+    midpoint k strictly inside that arc lies in bracket i or in bracket j,
+    and then k meets i or j with fewer midpoints between them.  By induction
+    some pair of neighbours meets.
     """
     if count < 1:
         raise InvariantError("need at least one orbit point")
@@ -322,16 +326,15 @@ def semiconjugacy_check(
     for k in range(count):
         lo = (k * theta_lo) % 1
         rotation.append(CircleInterval(lo, lo + k * (theta_hi - theta_lo)))
-    if _overlapping_pairs(rotation):
+    order_rotation = _cyclic_order(rotation)
+    if _neighbours_meet(rotation, order_rotation):
         raise PrecisionError("rotation orbit brackets overlap; raise min_prec")
 
     exponent = min_prec + count + 2
     for _ in range(6):
         arcs = dense_orbit(cf, count, exponent)
-        undecided = _overlapping_pairs(arcs)
-        if undecided == 0:
-            order_doubling = _cyclic_order(arcs)
-            order_rotation = _cyclic_order(rotation)
+        order_doubling = _cyclic_order(arcs)
+        if not _neighbours_meet(arcs, order_doubling):
             first = _first_rank_mismatch(order_doubling, order_rotation)
             return SemiconjugacyReport(
                 count=count,
@@ -347,17 +350,19 @@ def semiconjugacy_check(
     )
 
 
-def _overlapping_pairs(arcs: list[CircleInterval]) -> int:
-    """Count of pairs whose closed brackets meet; exhaustive and exact."""
-    bad = 0
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            a, b = arcs[i], arcs[j]
-            forward = (b.midpoint - a.midpoint) % 1
-            gap = min(forward, 1 - forward)
-            if gap <= (a.width + b.width) / 2:
-                bad += 1
-    return bad
+def _neighbours_meet(arcs: list[CircleInterval], order: tuple[int, ...]) -> bool:
+    """Whether two closed brackets meet, given their midpoints' circle order.
+
+    Only cyclically adjacent brackets are compared; semiconjugacy_check
+    explains why that decides the question for every pair.
+    """
+    if len(order) < 2:
+        return False
+    for i, j in zip(order, order[1:] + order[:1]):
+        forward = (arcs[j].midpoint - arcs[i].midpoint) % 1
+        if min(forward, 1 - forward) <= (arcs[i].width + arcs[j].width) / 2:
+            return True
+    return False
 
 
 def _cyclic_order(arcs: list[CircleInterval]) -> tuple[int, ...]:

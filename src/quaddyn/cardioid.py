@@ -15,7 +15,7 @@ from math import gcd
 from typing import Iterator
 
 from .angles import Angle, circle_distance, cyclic_sort, double
-from .cfrac import CFExpansion
+from .cfrac import CFExpansion, _convergents
 from .errors import InvariantError, PrecisionError
 
 __all__ = [
@@ -66,20 +66,18 @@ def _rotation_word(p: int, q: int) -> int:
     return word
 
 
-def _shift_of(sorted_nums: list[int], modulus: int, q: int) -> int | None:
-    """Constant index shift of doubling on a sorted cycle, or None."""
-    index = {v: i for i, v in enumerate(sorted_nums)}
-    shift = None
-    for i, v in enumerate(sorted_nums):
-        j = index.get((2 * v) % modulus)
-        if j is None:
-            return None
-        s = (j - i) % q
-        if shift is None:
-            shift = s
-        elif s != shift:
-            return None
-    return shift
+def _shift_of(ordered: list, doubled: list) -> int | None:
+    """Constant index shift of doubling on a sorted cycle, or None.
+
+    doubled[i] is the image of ordered[i]; None means some image is missing
+    from the cycle or the shift is not the same at every point.
+    """
+    index = {v: i for i, v in enumerate(ordered)}
+    shifts = {
+        (index[w] - i) % len(ordered) if w in index else None
+        for i, w in enumerate(doubled)
+    }
+    return shifts.pop() if len(shifts) == 1 else None
 
 
 def find_orbit(p: int, q: int) -> PeriodicOrbit:
@@ -95,7 +93,7 @@ def find_orbit(p: int, q: int) -> PeriodicOrbit:
     nums = sorted(((word << k) | (word >> (q - k))) & modulus for k in range(q))
     if len(set(nums)) != q:
         raise InvariantError(f"rotation word for {p}/{q} is not primitive")
-    shift = _shift_of(nums, modulus, q)
+    shift = _shift_of(nums, [(2 * v) % modulus for v in nums])
     if shift is None or Fraction(shift, q) != Fraction(p, q):
         raise InvariantError(f"constructed cycle fails rotation check for {p}/{q}")
     return PeriodicOrbit(tuple(Angle(v, modulus) for v in nums), Fraction(p, q))
@@ -125,7 +123,7 @@ def scan_orbits(q: int) -> dict[Fraction, list[tuple[int, ...]]]:
         if v != k or len(orbit) != q:
             continue
         nums = sorted(orbit)
-        shift = _shift_of(nums, modulus, q)
+        shift = _shift_of(nums, [(2 * v) % modulus for v in nums])
         if shift is None or shift == 0:
             continue
         rot = Fraction(shift, q)
@@ -146,20 +144,11 @@ def rotation_number(angles: list[Angle]) -> Fraction:
         raise InvariantError("need at least two angles")
     ordered = cyclic_sort(angles)
     q = len(ordered)
-    index = {a: i for i, a in enumerate(ordered)}
-    shift = None
-    for i, a in enumerate(ordered):
-        img = double(a)
-        j = index.get(img)
-        if j is None:
-            raise InvariantError(f"not closed under doubling: 2*{a} = {img} missing")
-        s = (j - i) % q
-        if shift is None:
-            shift = s
-        elif s != shift:
-            raise InvariantError(
-                f"inconsistent shift: {a} moves by {s}, expected {shift}"
-            )
+    shift = _shift_of(ordered, [double(a) for a in ordered])
+    if shift is None:
+        raise InvariantError(
+            f"{q} angles are not closed under doubling with a constant shift"
+        )
     if shift == 0 or gcd(shift, q) != 1:
         raise InvariantError(f"shift {shift} over {q} points is not a single cycle")
     return Fraction(shift, q)
@@ -168,22 +157,18 @@ def rotation_number(angles: list[Angle]) -> Fraction:
 def landing_pair(p: int, q: int) -> tuple[Angle, Angle]:
     """The two cycle elements realizing the minimal gap, in wake order.
 
-    For q >= 3 the minimal gap is unique; for q = 2 both gaps tie and the
-    numerically smaller representative comes first.
+    Closed form (Goldberg, Ann. Sci. ENS 25, 1992; Bullett and Sentenac,
+    Math. Proc. Camb. Phil. Soc. 115, 1994): the pair is (w - 1, w) over
+    2^q - 1, where bit k of the q-bit word w (k = 1..q, most significant
+    first) is [k*p mod q >= q - p].  For q >= 3 the minimal gap is unique;
+    for q = 2 both gaps tie and the numerically smaller representative comes
+    first.  find_orbit and scan_orbits, which build the whole cycle, are the
+    oracles the test suite checks this against.
     """
     _validate_pq(p, q)
-    orbit = find_orbit(p, q)
-    nums = [a.fraction for a in orbit.angles]
-    best = None
-    for i in range(len(nums)):
-        a, b = nums[i], nums[(i + 1) % len(nums)]
-        gap = (b - a) % 1
-        if best is None or gap < best[0]:
-            best = (gap, a, b)
-    gap, a, b = best
-    if gap > Fraction(1, 2):
-        raise InvariantError("minimal gap exceeds a half circle; bad cycle")
-    return Angle(a), Angle(b)
+    modulus = (1 << q) - 1
+    w = _rotation_word(p, q) << 1
+    return Angle(w - 1, modulus), Angle(w, modulus)
 
 
 @dataclass(frozen=True)
@@ -222,14 +207,8 @@ def external_angle(cf: CFExpansion, n: int, max_convergents: int = 600) -> Exter
     threshold = Fraction(1, 2**n)
     iterates: list[Angle] = []
     prev: Angle | None = None
-    k = 0
-    prev_p, prev_q = 1, 0
-    pp, qq = 0, 1
-    while k < max_convergents:
-        r = cf.quotient(k)
-        pp, prev_p = r * pp + prev_p, pp
-        qq, prev_q = r * qq + prev_q, qq
-        k += 1
+    quotients = map(cf.quotient, range(max_convergents))
+    for pp, qq, _, _ in _convergents(quotients):
         if pp >= qq:
             # Only the first convergent 1/1 can do this; it is not a valid
             # rotation number, so skip it.

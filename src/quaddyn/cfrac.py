@@ -8,10 +8,11 @@ Eventually periodic expansions evaluate exactly as quadratic surds.
 
 from __future__ import annotations
 
-import json
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from math import gcd
+from typing import Callable, Iterable, Iterator, Sequence
 
 from mpmath import mp
 
@@ -161,7 +162,7 @@ class CFExpansion:
             a, b, c = -a, -b, -c
         if c == 0:
             raise InvariantError("degenerate surd denominator")
-        g = _gcd3(abs(a), abs(b), c)
+        g = gcd(a, b, c)
         return a // g, b // g, c // g, disc
 
     def value_mpf(self, prec_bits: int = 128):
@@ -183,39 +184,13 @@ class CFExpansion:
         if self.is_rational:
             v = self.as_fraction()
             return v, v
-        prev_p, prev_q = 1, 0
-        p, q = 0, 1
-        i = 0
-        while True:
-            r = self.quotient(i)
-            p, prev_p = r * p + prev_p, p
-            q, prev_q = r * q + prev_q, q
-            i += 1
+        quotients = map(self.quotient, itertools.count())
+        for i, (p, q, prev_p, prev_q) in enumerate(_convergents(quotients), 1):
             if i >= 2 and Fraction(1, q * prev_q) <= max_width:
                 lo, hi = Fraction(prev_p, prev_q), Fraction(p, q)
                 return (lo, hi) if lo <= hi else (hi, lo)
             if i > 100_000:
                 raise PrecisionError("bracket did not converge; width too small?")
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "quotients": list(self.quotients),
-                "tail": list(self.tail) if self.tail is not None else None,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CFExpansion":
-        try:
-            obj = json.loads(text)
-            quotients = obj["quotients"]
-            tail = obj.get("tail")
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise InvariantError(f"bad expansion JSON: {exc}") from exc
-        return cls(tuple(quotients), tuple(tail) if tail else None)
 
     def describe(self) -> str:
         body = ",".join(str(r) for r in self.quotients)
@@ -225,35 +200,25 @@ class CFExpansion:
         return f"{body}:rep={rep}" if body else f":rep={rep}"
 
 
-def _matrix_of(quotients: Sequence[int]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Return ((p_m, q_m), (p_{m-1}, q_{m-1})) for a finite quotient list."""
-    prev_p, prev_q = 1, 0
-    p, q = 0, 1
+def _convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (p, q, prev_p, prev_q) after each quotient; p/q is the newest convergent."""
+    p, q, prev_p, prev_q = 0, 1, 1, 0
     for r in quotients:
-        p, prev_p = r * p + prev_p, p
-        q, prev_q = r * q + prev_q, q
+        p, q, prev_p, prev_q = r * p + prev_p, r * q + prev_q, p, q
+        yield p, q, prev_p, prev_q
+
+
+def _matrix_of(quotients: Sequence[int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Return ((p_m, q_m), (p_{m-1}, q_{m-1})) for a nonempty finite quotient list."""
+    *_, (p, q, prev_p, prev_q) = _convergents(quotients)
     return (p, q), (prev_p, prev_q)
-
-
-def _gcd3(a: int, b: int, c: int) -> int:
-    import math
-
-    return math.gcd(math.gcd(a, b), c) or 1
 
 
 def convergent_pairs(cf: CFExpansion, n: int) -> list[tuple[int, int]]:
     """First n convergents as (p, q) integer pairs, p_1/q_1 = 1/r_1."""
     if n < 1:
         raise InvariantError("need at least one convergent")
-    out = []
-    prev_p, prev_q = 1, 0
-    p, q = 0, 1
-    for i in range(n):
-        r = cf.quotient(i)
-        p, prev_p = r * p + prev_p, p
-        q, prev_q = r * q + prev_q, q
-        out.append((p, q))
-    return out
+    return [(p, q) for p, q, _, _ in _convergents(map(cf.quotient, range(n)))]
 
 
 def convergents(cf: CFExpansion, n: int) -> list[Fraction]:

@@ -52,8 +52,16 @@ class ArtifactWriter:
         return self.write(name, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
-def _default_prec(args: argparse.Namespace) -> int | None:
-    if getattr(args, "prec", None) is not None:
+# working precision of the commands that have one when neither --prec nor
+# $QUADDYN_PREC is given; cantor's grows with the depth
+_DEFAULT_PREC = {
+    "angle": 64, "brjuno": 128, "cf": 64, "radius": 256, "ratio-experiment": 256
+}
+
+
+def _resolve_prec(args: argparse.Namespace) -> int | None:
+    """The effective precision: --prec, then $QUADDYN_PREC, then the default."""
+    if args.prec is not None:
         return args.prec
     env = os.environ.get(PREC_ENV)
     if env:
@@ -61,7 +69,9 @@ def _default_prec(args: argparse.Namespace) -> int | None:
             return int(env)
         except ValueError as exc:
             raise InvariantError(f"{PREC_ENV} must be an integer, got {env!r}") from exc
-    return None
+    if args.command == "cantor":
+        return 2 * args.depth + 24
+    return _DEFAULT_PREC.get(args.command)
 
 
 def _parse_pq(text: str) -> tuple[int, int]:
@@ -124,13 +134,12 @@ def _run_angle(args, writer: ArtifactWriter) -> dict:
         from .cardioid import external_angle
         from .cfrac import parse_cf_text
 
-        prec = _default_prec(args) or 64
-        result = external_angle(parse_cf_text(args.cf), prec)
+        result = external_angle(parse_cf_text(args.cf), args.prec)
         exact = result.exact_pair is not None
         doc = {
             "approx": str(result.approx),
             # a rational rotation number has its landing pair exactly
-            "bound": "0" if exact else f"2^-{prec - 1}",
+            "bound": "0" if exact else f"2^-{args.prec - 1}",
             "iterates": [str(a) for a in result.iterates],
         }
         if exact:
@@ -182,7 +191,7 @@ def _run_cantor(args, writer: ArtifactWriter) -> dict:
     from .imaging import cover_strip_image, ppm_bytes
 
     cf = _cf_from_args(args)
-    result = cover(cf, args.depth, prec=_default_prec(args))
+    result = cover(cf, args.depth, prec=args.prec)
     doc = {
         "depth": result.depth,
         "arc_count": len(result.arcs),
@@ -199,11 +208,10 @@ def _run_brjuno(args, writer: ArtifactWriter) -> dict:
     from .cfrac import brjuno_partial_sums
 
     cf = _cf_from_args(args)
-    prec = _default_prec(args) or 128
-    sums = brjuno_partial_sums(cf, args.terms, prec_bits=prec)
+    sums = brjuno_partial_sums(cf, args.terms, prec_bits=args.prec)
     doc = {
         "terms": args.terms,
-        "prec_bits": prec,
+        "prec_bits": args.prec,
         "value": float(sums[-1]),
         "nondecreasing": all(b >= a for a, b in zip(sums, sums[1:])),
     }
@@ -215,11 +223,10 @@ def _run_cf(args, writer: ArtifactWriter) -> dict:
     from .cfrac import convergents
 
     cf = _cf_from_args(args)
-    prec = _default_prec(args) or 64
     count = args.count
     if cf.is_rational:
         count = min(count, len(cf.quotients))
-    lo, hi = cf.bracket(Fraction(1, 2**prec))
+    lo, hi = cf.bracket(Fraction(1, 2**args.prec))
     approx = [str(v) for v in convergents(cf, count)]
     doc = {
         "quotients": list(cf.prefix(count)),
@@ -228,7 +235,7 @@ def _run_cf(args, writer: ArtifactWriter) -> dict:
         # Second indexing: the classical pictures number the approximants
         # from the second convergent on.
         "convergents_from_second": approx[1:],
-        "bracket_prec_bits": prec,
+        "bracket_prec_bits": args.prec,
         "bracket": [str(lo), str(hi)],
     }
     writer.write_json("cf.json", doc)
@@ -243,13 +250,12 @@ def _run_radius(args, writer: ArtifactWriter) -> dict:
     )
 
     cf = _cf_from_args(args)
-    prec = _default_prec(args) or 256
-    series = linearization_coeffs(cf, args.order, prec=prec)
+    series = linearization_coeffs(cf, args.order, prec=args.prec)
     est = conformal_radius_estimate(series)
     probe = inner_radius_probe(series, est.r_hat)
     doc = {
         "order": args.order,
-        "prec_bits": prec,
+        "prec_bits": args.prec,
         "r_hat": float(est.r_hat),
         "r_hat_half_order": float(est.half_order),
         "reliable": est.reliable,
@@ -269,9 +275,8 @@ def _run_ratio_experiment(args, writer: ArtifactWriter) -> dict:
 
     prefix = tuple(int(s) for s in args.prefix.split(",") if s.strip())
     ns = _parse_range(args.n)
-    prec = _default_prec(args) or 256
     exp = radius_ratio_experiment(
-        prefix, Fraction(args.amplitude), ns, order=args.order, prec=prec
+        prefix, Fraction(args.amplitude), ns, order=args.order, prec=args.prec
     )
     lines = ["n,scaled,deviation,reliable"]
     for row in exp.rows:
@@ -594,8 +599,16 @@ def main(argv: "list[str] | None" = None) -> int:
             return 2
         return 0
 
+    params = {
+        k: v
+        for k, v in sorted(vars(args).items())
+        if k not in {"command", "json"} and v is not None
+    }
+    params["out"] = str(params.get("out", "."))
     writer = ArtifactWriter(Path(args.out))
     try:
+        # parameters keep --prec as given; handlers see the effective value
+        args.prec = _resolve_prec(args)
         doc = _HANDLERS[args.command](args, writer)
     except InvariantError as exc:
         _emit_error("InvariantError", str(exc))
@@ -607,16 +620,10 @@ def main(argv: "list[str] | None" = None) -> int:
         _emit_error("UsageError", str(exc))
         return 2
 
-    params = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in {"command", "json"} and v is not None
-    }
-    params["out"] = str(params.get("out", "."))
     manifest = {
         "command": args.command,
         "version": __version__,
-        "precision_bits": _default_prec(args) if hasattr(args, "prec") else None,
+        "precision_bits": args.prec,
         "parameters": params,
         "artifacts": writer.records,
     }

@@ -12,7 +12,6 @@ from quaddyn.angles import (
     cyclic_sort,
     double,
     halve_preimages,
-    parse_angles,
 )
 from quaddyn.errors import InvariantError
 
@@ -65,11 +64,6 @@ def test_cyclic_sort_is_rotation_invariant():
     assert base == cyclic_sort(angles[2:] + angles[:2])
     fracs = [a.fraction for a in base]
     assert fracs == sorted(fracs)
-
-
-def test_parse_angles_batch():
-    parsed = parse_angles(["1/3", "2/3"])
-    assert parsed == [Angle(1, 3), Angle(2, 3)]
 
 
 @given(st.fractions(min_value=0, max_value=1))

@@ -1,13 +1,17 @@
 """Allowed half circle, itinerary membership, finite covers, the dense orbit,
 and the cyclic-order semiconjugacy test."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from quaddyn.angles import Angle
 from quaddyn.cantor import (
+    CircleInterval,
     Membership,
+    _cyclic_order,
+    _neighbours_meet,
     arcs_hausdorff,
     build_arc,
     cover,
@@ -20,6 +24,23 @@ from quaddyn.errors import InvariantError
 
 GOLDEN = CFExpansion((), (1,))
 SILVER = CFExpansion((), (2,))
+
+
+def _overlapping_pairs(arcs):
+    """Oracle: count of pairs whose closed brackets meet; exhaustive and exact."""
+    bad = 0
+    for i in range(len(arcs)):
+        for j in range(i + 1, len(arcs)):
+            a, b = arcs[i], arcs[j]
+            forward = (b.midpoint - a.midpoint) % 1
+            gap = min(forward, 1 - forward)
+            if gap <= (a.width + b.width) / 2:
+                bad += 1
+    return bad
+
+
+def _sorted_verdict(arcs):
+    return _neighbours_meet(arcs, _cyclic_order(arcs))
 
 
 def _arc_distance(x, arcs):
@@ -190,3 +211,60 @@ def test_semiconjugacy_golden_medium_run():
     assert report.passed
     assert report.undecided_pairs == 0
     assert report.count == 60
+
+
+def _random_arc(rng, bits):
+    scale = 2**bits
+    lo = Fraction(rng.randrange(scale), scale)
+    return CircleInterval(lo, lo + Fraction(rng.randrange(scale // rng.choice((2, 8, 64))), scale))
+
+
+def _touching_partner(rng, arc, bits):
+    # gap between midpoints equals the half-width sum exactly, on either side
+    width = Fraction(rng.randrange(1, 2**bits // 8), 2**bits)
+    gap = (arc.width + width) / 2
+    mid = (arc.midpoint + rng.choice((gap, -gap))) % 1
+    lo = (mid - width / 2) % 1
+    return CircleInterval(lo, lo + width)
+
+
+def test_sorted_overlap_test_matches_pairwise_oracle():
+    rng = random.Random(2014)
+    cases = [
+        [CircleInterval(Fraction(1, 3), Fraction(1, 2))],
+        [CircleInterval(Fraction(0), Fraction(0))],
+        # straddling 0 and touching the arc at 0 from the other side
+        [CircleInterval(Fraction(7, 8), Fraction(9, 8)), CircleInterval(Fraction(1, 8), Fraction(1, 4))],
+        [CircleInterval(Fraction(7, 8), Fraction(9, 8)), CircleInterval(Fraction(1, 4), Fraction(1, 2))],
+        # equal midpoints, different widths
+        [CircleInterval(Fraction(1, 4), Fraction(1, 2)), CircleInterval(Fraction(5, 16), Fraction(7, 16))],
+    ]
+    for _ in range(400):
+        bits = rng.choice((6, 8, 12, 20))
+        arcs = [_random_arc(rng, bits) for _ in range(rng.choice((1, 2, 3, 5, 12, 40)))]
+        if rng.random() < 0.5:
+            arcs.append(_touching_partner(rng, rng.choice(arcs), bits))
+        if rng.random() < 0.2:
+            twin = rng.choice(arcs)
+            arcs.append(CircleInterval(twin.lo, twin.hi))
+        if rng.random() < 0.3:
+            lo = 1 - Fraction(rng.randrange(1, 2**bits // 16), 2**bits)
+            arcs.append(CircleInterval(lo, lo + Fraction(2 * rng.randrange(1, 2**bits // 16), 2**bits)))
+        rng.shuffle(arcs)
+        cases.append(arcs)
+    verdicts = set()
+    for arcs in cases:
+        verdict = _sorted_verdict(arcs)
+        assert verdict == bool(_overlapping_pairs(arcs)), arcs
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "cf,exponent,meets",
+    [(GOLDEN, 442, False), (SILVER, 442, True), (SILVER, 884, False)],
+)
+def test_sorted_overlap_test_on_semiconjugacy_orbits(cf, exponent, meets):
+    arcs = dense_orbit(cf, 200, exponent)
+    assert _sorted_verdict(arcs) is meets
+    assert bool(_overlapping_pairs(arcs)) is meets

@@ -2,6 +2,7 @@
 convergent-Cauchy external angle."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -73,17 +74,27 @@ def test_landing_pair_reference_values(p, q, expected):
 
 
 def test_landing_gap_is_strict_minimum():
-    for p, q in ((1, 3), (2, 5), (3, 7), (5, 8)):
-        orbit = find_orbit(p, q)
-        lo, hi = landing_pair(p, q)
-        gap = circle_distance(lo, hi)
-        others = [
-            circle_distance(a, b)
-            for i, a in enumerate(orbit.angles)
-            for b in orbit.angles[i + 1 :]
-            if {a, b} != {lo, hi}
-        ]
-        assert all(gap < other for other in others)
+    # Oracle: build the whole cycle and take the cyclically adjacent pair
+    # with the smallest forward gap (the first one on a tie, as for q = 2).
+    for q in range(2, 40):
+        modulus = 2**q - 1
+        for p in range(1, q):
+            if gcd(p, q) != 1:
+                continue
+            angles = find_orbit(p, q).angles
+            lo, hi = min(
+                zip(angles, angles[1:] + angles[:1]),
+                key=lambda pair: (pair[1].fraction - pair[0].fraction) % 1,
+            )
+            assert landing_pair(p, q) == (lo, hi), f"{p}/{q}"
+            # every other pair is strictly farther apart, in units of 1/modulus
+            nums = [int(a.fraction * modulus) for a in angles]
+            ends = {int(lo.fraction * modulus), int(hi.fraction * modulus)}
+            gap = circle_distance(lo, hi) * modulus
+            for i, a in enumerate(nums):
+                for b in nums[i + 1 :]:
+                    if {a, b} != ends:
+                        assert gap < min((a - b) % modulus, (b - a) % modulus)
 
 
 def test_orbit_uniqueness_small_denominators():

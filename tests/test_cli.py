@@ -165,6 +165,38 @@ def test_env_precision_feeds_handlers_and_manifest(tmp_path, capsys, monkeypatch
     assert manifest["precision_bits"] == 32
 
 
+@pytest.mark.parametrize(
+    "argv,env,expected",
+    [
+        (["radius", "--cf", "1:rep=1", "--order", "64"], None, 256),
+        (["radius", "--cf", "1:rep=1", "--order", "64"], "100", 100),
+        (["cantor", "--cf", "1:rep=1", "--depth", "4"], None, 32),
+        (["orbit", "--pq", "2/5"], None, None),
+    ],
+)
+def test_manifest_records_effective_precision(tmp_path, capsys, monkeypatch, argv, env, expected):
+    if env is None:
+        monkeypatch.delenv("QUADDYN_PREC", raising=False)
+    else:
+        monkeypatch.setenv("QUADDYN_PREC", env)
+    code, _, _ = _run(capsys, argv + ["--out", str(tmp_path)])
+    assert code == 0
+    manifest = json.loads((tmp_path / f"{argv[0]}-manifest.json").read_text())
+    assert manifest["precision_bits"] == expected
+    # parameters keep the command line as given
+    assert "prec" not in manifest["parameters"]
+
+
+@pytest.mark.parametrize("command", [["radius", "--cf", "1:rep=1", "--order", "16"], ["orbit", "--pq", "2/5"]])
+def test_invalid_env_precision_exits_4(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("QUADDYN_PREC", "lots")
+    code, _, err = _run(capsys, command + ["--out", str(tmp_path)])
+    assert code == 4
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvariantError"
+
+
 def test_cf_document_for_rational_value(tmp_path, capsys):
     code, out, _ = _run(capsys, ["cf", "--value", "113/355", "--out", str(tmp_path), "--json"])
     assert code == 0
