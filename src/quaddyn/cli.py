@@ -587,6 +587,18 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    # exact angles of period above about 14,000 have numerators of more
+    # decimal digits than the interpreter's int-to-str limit (4300 by
+    # default); lift it for this call only
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: "list[str] | None") -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

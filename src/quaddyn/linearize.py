@@ -11,21 +11,24 @@ the diagnostics say how much to trust it.
 Fixed-point contract: the coefficient recursion, the circle probe and the
 functional residual run on Gaussian integers, a complex number x + iy held
 as the Python ints round(x * 2^f), round(y * 2^f) with f = prec + 32
-fractional bits.  A fixed-point convolution or Horner evaluation over an
-order-N series truncates by an absolute error of order N * 2^-(prec+32), so
-the residual still resolves defects far below 1e-60 at 256 bits.  The probe
-is a full-precision minimum over the sampled circle, one fixed-point Horner
-evaluation per sample, not a float DFT.  Every mpf <-> int conversion
-happens inside mp.workprec(prec), because mp.nint and mpf(int) round to the
-ambient precision (53 bits by default).  The public values stay mpmath
-numbers at prec bits.
+fractional bits.  A fixed-point convolution over an order-N series
+truncates by an absolute error of order N * 2^-(prec+32).  The circle is
+evaluated at S equispaced points by one exact-integer DFT: the radius-scaled
+coefficients are folded mod S (exactly, since u^S = 1) and transformed by a
+mixed-radix decimation in time whose twiddles come from a table of S-th
+roots of unity.  That table is accurate to 2^-prec, not 2^-(prec+32), so
+each value is off by about log2(S) * 2^-prec * sum |c_n| plus
+(N + S) * 2^-(prec+32); the residual still resolves defects far below 1e-60
+at 256 bits.  Every mpf <-> int conversion happens inside mp.workprec(prec),
+because mp.nint and mpf(int) round to the ambient precision (53 bits by
+default).  The public values stay mpmath numbers at prec bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt, log2
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -73,6 +76,10 @@ def _from_fixed(re: int, im: int, frac: int) -> mpc:
     return mpc(mpf((re, -frac)), mpf((im, -frac)))
 
 
+def _norm2(re: int, im: int) -> int:
+    return re * re + im * im
+
+
 def _fixed_sqrt(norm2: int, frac: int) -> mpf:
     """sqrt of a squared modulus at scale 2^(2 frac), back at scale 2^-frac."""
     return mpf((isqrt(norm2), -frac))
@@ -81,7 +88,7 @@ def _fixed_sqrt(norm2: int, frac: int) -> mpf:
 def _scaled_fixed(
     series: LinearizationSeries, radius: mpf, frac: int
 ) -> tuple[list[int], list[int]]:
-    """c_n = b_n * radius^n as fixed-point ints, ordered c_N, ..., c_1, c_0 = 0.
+    """c_n = b_n * radius^n as fixed-point ints, ordered c_0 = 0, c_1, ..., c_N.
 
     Evaluating sum c_n u^n on |u| = 1 is evaluating phi on |w| = radius, with
     integers of about frac bits instead of frac + n * log2(1/radius).
@@ -102,28 +109,75 @@ def _scaled_fixed(
         br, bi = _to_fixed(b, frac)
         re.append((br * pw) >> shift)
         im.append((bi * pw) >> shift)
-    re.reverse()
-    im.reverse()
     return re, im
-
-
-def _horner(
-    re: Sequence[int], im: Sequence[int], ur: int, ui: int, frac: int
-) -> tuple[int, int]:
-    """Fixed-point Horner: sum c_n u^n over coefficients given highest first.
-
-    Each step multiplies by u with three integer products instead of four.
-    """
-    us, ud = ur + ui, ui - ur
-    ar = ai = 0
-    for cr, ci in zip(re, im):
-        k = ur * (ar + ai)
-        ar, ai = ((k - ai * us) >> frac) + cr, ((k + ar * ud) >> frac) + ci
-    return ar, ai
 
 
 def _unit_points(samples: int, frac: int) -> list[tuple[int, int]]:
     return [_to_fixed(mp.expjpi(mpf(2 * k) / samples), frac) for k in range(samples)]
+
+
+def _dft(
+    re: list[int], im: list[int], table: Sequence[tuple[int, int]], frac: int
+) -> tuple[list[int], list[int]]:
+    """X_k = sum_j a_j w^(jk) for k < n = len(re), with w = exp(2 pi i / n).
+
+    Mixed-radix decimation in time: the p subsequences a_(r + p t), for p
+    the smallest prime factor of n, are transformed recursively and then
+    recombined with twiddles w^(rk).  table holds the len(table)-th roots of
+    unity, and n divides len(table), so w^e is table[(e mod n) * stride].
+    Each twiddle product costs three integer products and truncates once;
+    a prime n costs n^2 of them.
+    """
+    n = len(re)
+    if n == 1:
+        return re, im
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    m, stride = n // p, len(table) // n
+    subs = [_dft(re[r::p], im[r::p], table, frac) for r in range(p)]
+    if p == 2:
+        # X_(k + m) = Y_0[k] - w^k Y_1[k]: one product serves two outputs
+        (er, ei), (odr, odi) = subs
+        lo_r, lo_i, hi_r, hi_i = [], [], [], []
+        for k in range(m):
+            wr, wi = table[k * stride]
+            a, b = odr[k], odi[k]
+            t = wr * (a + b)
+            tr, ti = (t - b * (wr + wi)) >> frac, (t + a * (wi - wr)) >> frac
+            lo_r.append(er[k] + tr)
+            lo_i.append(ei[k] + ti)
+            hi_r.append(er[k] - tr)
+            hi_i.append(ei[k] - ti)
+        return lo_r + hi_r, lo_i + hi_i
+    out_r, out_i = [], []
+    for k in range(n):
+        j = k % m
+        sr, si = subs[0][0][j], subs[0][1][j]
+        for r in range(1, p):
+            wr, wi = table[(r * k % n) * stride]
+            a, b = subs[r][0][j], subs[r][1][j]
+            t = wr * (a + b)
+            sr += (t - b * (wr + wi)) >> frac
+            si += (t + a * (wi - wr)) >> frac
+        out_r.append(sr)
+        out_i.append(si)
+    return out_r, out_i
+
+
+def _circle_values(
+    re: list[int], im: list[int], table: Sequence[tuple[int, int]], frac: int
+) -> tuple[list[int], list[int]]:
+    """sum_n c_n u_k^n at the S = len(table) points u_k = table[k].
+
+    u_k^S = 1, so the coefficients fold exactly to a_j = sum_(n = j mod S) c_n
+    before one S-point transform.
+    """
+    samples = len(table)
+    return _dft(
+        [sum(re[j::samples]) for j in range(samples)],
+        [sum(im[j::samples]) for j in range(samples)],
+        table,
+        frac,
+    )
 
 
 def _small_denominators(lam: mpc, order: int, prec: int) -> Iterator[tuple[int, int]]:
@@ -212,12 +266,35 @@ class RadiusEstimate:
     window: tuple[int, int]
 
 
+def _log2_abs(z: mpc) -> float:
+    """log2 |z| as a float, read off the parts' mantissas and exponents.
+
+    Coefficients reach 2^1100 and more, beyond the float range, so |z| is
+    never formed as a float; -inf for z = 0.
+    """
+    logs = [log2(man) + exp for _, man, exp, _ in (z.real._mpf_, z.imag._mpf_) if man]
+    if not logs:
+        return -inf
+    top = max(logs)
+    return top + 0.5 * log2(sum(2.0 ** (2 * (x - top)) for x in logs))
+
+
 def _root_test(coeffs: Sequence[mpc], lo: int, hi: int) -> mpf:
+    """1 / max |b_n|^(1/n) over lo <= n <= hi.
+
+    A float log2|b_n| / n screens the window.  Its error is below 1e-12, so
+    only the n within 1e-9 of its maximum can attain the exact maximum; they
+    alone take the exact power, in increasing n with a strict >, so the
+    result is the one a full scan returns, bit for bit.
+    """
+    scores = [_log2_abs(coeffs[n - 1]) / n for n in range(lo, hi + 1)]
+    cut = max(scores) - 1e-9
     worst = mpf(0)
-    for n in range(lo, hi + 1):
-        mag = abs(coeffs[n - 1]) ** (mpf(1) / n)
-        if mag > worst:
-            worst = mag
+    for n, score in enumerate(scores, start=lo):
+        if score >= cut:
+            mag = abs(coeffs[n - 1]) ** (mpf(1) / n)
+            if mag > worst:
+                worst = mag
     if worst == 0:
         raise PrecisionError("all coefficients in the root-test window vanish")
     return 1 / worst
@@ -261,9 +338,10 @@ def inner_radius_probe(
     """Probe min |phi(w)| over equispaced w on the circle |w| = 0.98 * r_hat.
 
     The result is a sampled proxy for the distance from the fixed point to
-    the boundary of the linearization domain.  Every sample is a
-    full-precision fixed-point Horner evaluation of the truncated series (not
-    a float DFT), so the minimum is exact up to about N * 2^-(prec+32).
+    the boundary of the linearization domain.  All samples come from one
+    full-precision exact-integer DFT of the truncated series (not a float
+    FFT), so the minimum is accurate to about log2(S) * 2^-prec * sum |c_n|
+    for S samples and c_n = b_n (0.98 r_hat)^n.
     """
     if samples < 8:
         raise InvariantError("need at least 8 samples")
@@ -271,9 +349,8 @@ def inner_radius_probe(
     with mp.workprec(series.prec):
         radius = mpf("0.98") * mpf(r_hat)
         re, im = _scaled_fixed(series, radius, frac)
-        points = _unit_points(samples, frac)
-        values = (_horner(re, im, ur, ui, frac) for ur, ui in points)
-        value = _fixed_sqrt(min(fr * fr + fi * fi for fr, fi in values), frac)
+        xr, xi = _circle_values(re, im, _unit_points(samples, frac), frac)
+        value = _fixed_sqrt(min(map(_norm2, xr, xi)), frac)
         top = abs(series.coeffs[-1]) * radius ** series.order
         tail = top * mpf("0.98") / (1 - mpf("0.98"))
         flagged = bool(tail > mpf("0.01") * value)
@@ -286,24 +363,35 @@ def functional_residual(
     """Max |phi(lam w) - lam phi(w) - phi(w)^2| over a sampled circle.
 
     Sampling happens on |w| = factor * r_hat, well inside the estimated
-    convergence disk so the truncated series is trustworthy there.  The
-    fixed-point evaluation resolves defects down to about N * 2^-(prec+32),
-    far below 1e-60 at the default 256 bits.
+    convergence disk so the truncated series is trustworthy there.  phi(w)
+    and phi(lam w) at all S samples come from two exact-integer DFTs, of c_n
+    and of c_n lam^n with lam^n stepped in fixed point.  That resolves
+    defects down to about log2(S) * 2^-prec * sum |c_n| + (N + S) *
+    2^-(prec+32), far below 1e-60 at the default 256 bits.
     """
+    if samples < 1:
+        raise InvariantError("need at least 1 sample")
     frac = series.prec + _GUARD_BITS
     with mp.workprec(series.prec):
         radius = mpf(factor) * mpf(r_hat)
         re, im = _scaled_fixed(series, radius, frac)
         lr, li = _to_fixed(series.lam, frac)
-        worst = 0
-        for ur, ui in _unit_points(samples, frac):
-            fr, fi = _horner(re, im, ur, ui, frac)
-            qr, qi = _horner(
-                re, im, (lr * ur - li * ui) >> frac, (lr * ui + li * ur) >> frac, frac
+        rot_r, rot_i = [], []
+        pr, pi = 1 << frac, 0
+        for cr, ci in zip(re, im):
+            rot_r.append((cr * pr - ci * pi) >> frac)
+            rot_i.append((cr * pi + ci * pr) >> frac)
+            pr, pi = (pr * lr - pi * li) >> frac, (pr * li + pi * lr) >> frac
+        table = _unit_points(samples, frac)
+        fr, fi = _circle_values(re, im, table, frac)
+        qr, qi = _circle_values(rot_r, rot_i, table, frac)
+        worst = max(
+            _norm2(
+                q_r - ((lr * f_r - li * f_i + f_r * f_r - f_i * f_i) >> frac),
+                q_i - ((lr * f_i + li * f_r + 2 * f_r * f_i) >> frac),
             )
-            dr = qr - ((lr * fr - li * fi + fr * fr - fi * fi) >> frac)
-            di = qi - ((lr * fi + li * fr + 2 * fr * fi) >> frac)
-            worst = max(worst, dr * dr + di * di)
+            for f_r, f_i, q_r, q_i in zip(fr, fi, qr, qi)
+        )
         return _fixed_sqrt(worst, frac)
 
 

@@ -3,11 +3,13 @@ and byte-level determinism."""
 
 import hashlib
 import json
+import sys
 
 import pytest
 
 from quaddyn import acceptance
 from quaddyn.acceptance import CriterionResult
+from quaddyn.cardioid import landing_pair
 from quaddyn.cli import main
 
 
@@ -77,6 +79,37 @@ def test_angle_rational_expansion_is_exact(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["exact_pair"] == ["5/7", "6/7"]
     assert doc["bound"] == "0"
+
+
+def _unlimited_str(values):
+    """str of each value, past the interpreter's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_large_periods_print_exact_angles(tmp_path, capsys):
+    # numerators over 2^15000 - 1 have more than 4300 decimal digits
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = _run(
+        capsys, ["landing-pair", "--pq", "1/15000", "--out", str(tmp_path), "--json"]
+    )
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    den = _unlimited_str([2**15000 - 1])[0]
+    assert json.loads(out) == {"alpha_minus": f"1/{den}", "alpha_plus": f"2/{den}"}
+    # [0; 15000, 2] = 2/30001
+    code, out, _ = _run(
+        capsys, ["angle", "--cf", "15000,2", "--out", str(tmp_path), "--json"]
+    )
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    doc = json.loads(out)
+    assert doc["bound"] == "0"
+    assert doc["exact_pair"] == _unlimited_str(landing_pair(2, 30001))
 
 
 def _fake_results():

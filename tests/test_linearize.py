@@ -1,9 +1,11 @@
 """Linearization series for the quadratic with an irrationally indifferent
 fixed point: coefficient identities, radius estimates, probes, distortion.
 
-The fixed-point kernel is checked against an mpc oracle: the plain
-convolution recursion and Horner evaluation at the series' own precision."""
+The fixed-point kernel is checked against oracles: the plain convolution
+recursion and Horner evaluation in mpc at the series' own precision, a direct
+mpc sum for the circle DFT, and the full-window scan for the root test."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +17,8 @@ from quaddyn.cfrac import CFExpansion, brjuno_sum, perturbed_cf
 from quaddyn.errors import InvariantError, PrecisionError
 from quaddyn.linearize import (
     LinearizationSeries,
+    _circle_values,
+    _unit_points,
     conformal_radius_estimate,
     functional_residual,
     inner_radius_probe,
@@ -87,6 +91,16 @@ def oracle_residual(series, r_hat, factor=0.5, samples=64):
             right = oracle_evaluate(series, w)
             worst = max(worst, abs(left - lam * right - right * right))
         return worst
+
+
+def oracle_root_test(coeffs, lo, hi):
+    """The full scan: the exact |b_n|^(1/n) for every n in the window."""
+    worst = mpf(0)
+    for n in range(lo, hi + 1):
+        mag = abs(coeffs[n - 1]) ** (mpf(1) / n)
+        if mag > worst:
+            worst = mag
+    return 1 / worst
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +194,49 @@ def test_probe_and_residual_match_mpc_oracle(cf, oracle_256):
     assert abs(residual - expected) < mpf("1e-70")
 
 
+@pytest.mark.parametrize(
+    "order, samples", [(80, 8), (80, 200), (80, 1024), (512, 8), (512, 200)]
+)
+def test_circle_dft_matches_mpc_horner(order, samples):
+    # The same coefficients through the DFT and through the mpc Horner
+    # oracle, so any difference is the evaluation's alone.
+    series = linearization_coeffs(GOLDEN, order, prec=256)
+    r_hat = conformal_radius_estimate(series).r_hat
+    probe = inner_radius_probe(series, r_hat, samples=samples)
+    value, flagged = oracle_probe(series, r_hat, samples=samples)
+    assert float(probe.value) == float(value)
+    assert probe.tail_flagged == flagged
+    with mp.workprec(256):
+        assert abs(probe.value - value) <= value * mpf(2) ** -(256 - 16)
+    residual = functional_residual(series, r_hat, samples=samples)
+    assert abs(residual - oracle_residual(series, r_hat, samples=samples)) < mpf("1e-70")
+
+
+@pytest.mark.parametrize("samples", [8, 12, 97, 200, 512])
+def test_circle_values_match_direct_sum(samples):
+    # sum_n c_n u_k^n for N below, at and above S (where the fold mod S
+    # matters), against a direct mpc sum over a twice-as-precise circle.
+    prec, frac = 128, 160
+    rng = random.Random(samples)
+    with mp.workprec(prec):
+        table = _unit_points(samples, frac)
+    ks = sorted(set(range(0, samples, max(1, samples // 48))) | {samples - 1})
+    # the twiddles carry 2^-prec each, over at most log2(S) levels
+    levels = math.ceil(math.log2(samples)) + 1
+    for order in (samples // 2, samples, 2 * samples + 3):
+        re = [rng.randint(-(1 << frac), 1 << frac) for _ in range(order + 1)]
+        im = [rng.randint(-(1 << frac), 1 << frac) for _ in range(order + 1)]
+        xr, xi = _circle_values(re, im, table, frac)
+        with mp.workprec(2 * prec):
+            roots = [mp.expjpi(mpf(2 * k) / samples) for k in range(samples)]
+            coeffs = [mpc(mpf((r, -frac)), mpf((i, -frac))) for r, i in zip(re, im)]
+            tol = levels * mpf(2) ** -prec * sum(abs(c) for c in coeffs)
+            for k in ks:
+                want = mp.fsum(c * roots[n * k % samples] for n, c in enumerate(coeffs))
+                got = mpc(mpf((xr[k], -frac)), mpf((xi[k], -frac)))
+                assert abs(got - want) <= tol, (samples, order, k)
+
+
 def test_fixed_point_kernel_ignores_ambient_precision(oracle_256):
     # Conversions between mpf and the fixed-point ints must happen at the
     # series' precision; mp.nint and mpf(int) otherwise round to mp.prec.
@@ -217,6 +274,33 @@ def test_radius_estimate_stable_across_orders(golden_series):
 def test_radius_estimate_needs_enough_terms():
     with pytest.raises(InvariantError):
         conformal_radius_estimate(linearization_coeffs(GOLDEN, 16, prec=128))
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_functional_residual_needs_a_sample(golden_series, samples):
+    with pytest.raises(InvariantError):
+        functional_residual(golden_series, mpf("0.3"), samples=samples)
+
+
+def test_root_test_matches_full_scan():
+    # r-hat and half_order, bit for bit, against the exact power at every n
+    for order in (128, 256, 512):
+        for cf in ORACLE_ANGLES + _bounded_type_angles(3, order):
+            series = linearization_coeffs(cf, order, prec=256)
+            est = conformal_radius_estimate(series)
+            with mp.workprec(256):
+                assert est.r_hat == oracle_root_test(series.coeffs, order // 2, order)
+                assert est.half_order == oracle_root_test(
+                    series.coeffs, order // 4, order // 2
+                )
+
+
+def test_root_test_rejects_vanishing_window():
+    zeros = LinearizationSeries(
+        lam=mpc(1), coeffs=(mpc(1),) + (mpc(0),) * 63, prec=128
+    )
+    with pytest.raises(PrecisionError, match="root-test window vanish"):
+        conformal_radius_estimate(zeros)
 
 
 def test_functional_residual_small_inside(golden_series):
