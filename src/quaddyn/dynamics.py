@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .angles import Angle
 from .cfrac import CFExpansion
@@ -203,7 +202,13 @@ def _as_points(points: "Sequence[complex] | np.ndarray") -> np.ndarray:
 def hausdorff_distance(
     a: "Sequence[complex] | np.ndarray", b: "Sequence[complex] | np.ndarray"
 ) -> float:
-    """Hausdorff distance between finite point sets (complex or Nx2)."""
+    """Hausdorff distance between finite point sets (complex or Nx2).
+
+    scipy is imported here, not at module load: only `accept` (C09, C12)
+    reaches this function, and the import is most of a CLI cold start.
+    """
+    from scipy.spatial import cKDTree
+
     pa, pb = _as_points(a), _as_points(b)
     d_ab = cKDTree(pb).query(pa)[0].max()
     d_ba = cKDTree(pa).query(pb)[0].max()

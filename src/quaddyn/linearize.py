@@ -113,7 +113,22 @@ def _scaled_fixed(
 
 
 def _unit_points(samples: int, frac: int) -> list[tuple[int, int]]:
-    return [_to_fixed(mp.expjpi(mpf(2 * k) / samples), frac) for k in range(samples)]
+    """exp(2 pi i k / S) for k < S as fixed-point pairs, each to 2^-mp.prec.
+
+    When 8 divides S only the first octant, k <= S/8, is evaluated.  The
+    rest follows exactly: cos and sin swap across pi/4, a quarter turn maps
+    (x, y) to (-y, x) and a half turn to (-x, -y).
+    """
+
+    def root(k: int) -> tuple[int, int]:
+        return _to_fixed(mp.expjpi(mpf(2 * k) / samples), frac)
+
+    if samples % 8:
+        return [root(k) for k in range(samples)]
+    points = [root(k) for k in range(samples // 8 + 1)]
+    points += [(y, x) for x, y in reversed(points[1:-1])]
+    points += [(-y, x) for x, y in points]
+    return points + [(-x, -y) for x, y in points]
 
 
 def _dft(
@@ -345,6 +360,8 @@ def inner_radius_probe(
     """
     if samples < 8:
         raise InvariantError("need at least 8 samples")
+    if not r_hat > 0:
+        raise InvariantError("need a positive radius")
     frac = series.prec + _GUARD_BITS
     with mp.workprec(series.prec):
         radius = mpf("0.98") * mpf(r_hat)
@@ -371,6 +388,8 @@ def functional_residual(
     """
     if samples < 1:
         raise InvariantError("need at least 1 sample")
+    if not (factor > 0 and r_hat > 0):
+        raise InvariantError("need a positive radius")
     frac = series.prec + _GUARD_BITS
     with mp.workprec(series.prec):
         radius = mpf(factor) * mpf(r_hat)

@@ -1,0 +1,56 @@
+"""Loading quaddyn must not load scipy.
+
+Every CLI invocation is a fresh interpreter, and scipy.spatial is most of
+its import time; only hausdorff_distance needs it.  The check runs in a
+fresh interpreter, because this test session may have loaded scipy already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+MODULES = (
+    "cli", "angles", "cardioid", "cantor", "cfrac",
+    "combdomain", "dynamics", "imaging", "linearize",
+)
+
+SCRIPT = """
+import contextlib, importlib, io, json, sys
+
+def scipy_loaded():
+    return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+import quaddyn
+for name in MODULES:
+    importlib.import_module("quaddyn." + name)
+after_import = scipy_loaded()
+
+from quaddyn.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["julia", "--c", "0", "--res", "4", "--json", "--out", OUT])
+after_julia = scipy_loaded()
+
+from quaddyn.dynamics import hausdorff_distance
+distance = hausdorff_distance([0j, 1j], [3 + 4j])
+print(json.dumps([after_import, code, after_julia, distance, scipy_loaded()]))
+"""
+
+
+def test_scipy_loads_only_with_hausdorff_distance(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    prelude = f"MODULES = {MODULES!r}\nOUT = {str(tmp_path)!r}\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    after_import, code, after_julia, distance, after_call = json.loads(proc.stdout)
+    assert not after_import
+    assert code == 0
+    assert (tmp_path / "julia-manifest.json").exists()
+    assert not after_julia
+    assert distance == 5.0
+    assert after_call

@@ -97,8 +97,31 @@ def test_hausdorff_point_set_basics():
     assert hausdorff_distance([0j, 1j], [0j, 1j]) == 0.0
     assert hausdorff_distance([0j], [3 + 0j]) == 3.0
     assert hausdorff_distance([0j, 1 + 0j], [0j]) == 1.0
-    with pytest.raises(InvariantError):
-        hausdorff_distance([], [0j])
+    for empty, other in (([], [0j]), ([0j], []), (np.empty((0, 2)), np.zeros((3, 2)))):
+        with pytest.raises(InvariantError):
+            hausdorff_distance(empty, other)
+
+
+def _pairwise_hausdorff(a, b):
+    """Brute force over complex lists: every pairwise distance, no index."""
+    d_ab = max(min(abs(x - y) for y in b) for x in a)
+    d_ba = max(min(abs(x - y) for x in a) for y in b)
+    return max(d_ab, d_ba)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (1, 9), (7, 7), (5, 40), (33, 12)])
+def test_hausdorff_matches_pairwise_oracle(sizes):
+    # the same seeded sets as complex lists and as N x 2 arrays
+    rng = random.Random(sum(sizes))
+    a, b = (
+        [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+        for n in sizes
+    )
+    want = _pairwise_hausdorff(a, b)
+    as_rows = [np.array([[z.real, z.imag] for z in pts]) for pts in (a, b)]
+    assert hausdorff_distance(a, b) == pytest.approx(want, rel=1e-12)
+    assert hausdorff_distance(*as_rows) == pytest.approx(want, rel=1e-12)
+    assert hausdorff_distance(b, a) == pytest.approx(want, rel=1e-12)
 
 
 def test_hausdorff_triangle_inequality():

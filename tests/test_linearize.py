@@ -18,6 +18,7 @@ from quaddyn.errors import InvariantError, PrecisionError
 from quaddyn.linearize import (
     LinearizationSeries,
     _circle_values,
+    _to_fixed,
     _unit_points,
     conformal_radius_estimate,
     functional_residual,
@@ -66,6 +67,11 @@ def oracle_evaluate(series, w):
         for b in reversed(series.coeffs):
             acc = acc * w + b
         return acc * w
+
+
+def oracle_unit_points(samples, frac):
+    """One mp.expjpi per sample, no symmetry."""
+    return [_to_fixed(mp.expjpi(mpf(2 * k) / samples), frac) for k in range(samples)]
 
 
 def _oracle_circle(radius, samples):
@@ -282,6 +288,31 @@ def test_functional_residual_needs_a_sample(golden_series, samples):
         functional_residual(golden_series, mpf("0.3"), samples=samples)
 
 
+@pytest.mark.parametrize("prec", [64, 256, 512])
+def test_unit_points_match_per_sample_table(prec):
+    # Powers of two: the octant symmetries are exact, so bit for bit.
+    # Otherwise mpf(2k)/S is rounded and entries may move by a few 2^-prec.
+    frac = prec + 32
+    with mp.workprec(prec):
+        for samples in (2**e for e in range(3, 13)):
+            assert _unit_points(samples, frac) == oracle_unit_points(samples, frac)
+        for samples in (8, 9, 12, 24, 97, 200, 776):
+            got = _unit_points(samples, frac)
+            want = oracle_unit_points(samples, frac)
+            assert len(got) == samples
+            for (x, y), (u, v) in zip(got, want):
+                assert max(abs(x - u), abs(y - v)) <= 4 << (frac - prec)
+
+
+@pytest.mark.parametrize("r_hat, factor", [(0, 0.5), (-0.3, 0.5), (0.3, 0), (0.3, -1)])
+def test_circle_evaluations_need_a_positive_radius(golden_series, r_hat, factor):
+    with pytest.raises(InvariantError):
+        functional_residual(golden_series, mpf(r_hat), factor=factor)
+    if factor > 0:
+        with pytest.raises(InvariantError):
+            inner_radius_probe(golden_series, mpf(r_hat))
+
+
 def test_root_test_matches_full_scan():
     # r-hat and half_order, bit for bit, against the exact power at every n
     for order in (128, 256, 512):
@@ -394,3 +425,31 @@ def test_yoccoz_buff_cheritat_upsilon_band():
         assert est.reliable, cf
         upsilon = brjuno_sum(cf, 60) + mp.log(est.r_hat)
         assert 0.1 <= upsilon <= 0.9, (cf, float(upsilon))
+
+
+def test_upsilon_continuity_across_shared_prefixes():
+    """|Upsilon-hat(A) - Upsilon-hat(B)| shrinks as A and B share more terms.
+
+    Buff and Cheritat (Ann. Math. 164, 2006) proved Upsilon continuous, so
+    angles with a long common continued-fraction prefix have close values.
+    Each pair shares a seeded bounded-type prefix of length k, then takes
+    the tails 1-bar and 2-bar.  Upsilon-hat is an estimate (r-hat is the
+    root test on 256 coefficients), and the decrease is not monotone in k,
+    so each longer prefix is compared with k = 1 only.  Measured:
+    0.031..0.141 at k = 1, 0.0002..0.0016 at k = 7.
+    """
+    rng = random.Random(2006)
+
+    def upsilon(cf):
+        est = conformal_radius_estimate(linearization_coeffs(cf, 256, prec=256))
+        return brjuno_sum(cf, 60) + mp.log(est.r_hat)
+
+    for _ in range(6):
+        prefix = tuple(rng.randint(1, 3) for _ in range(7))
+        gaps = {}
+        for k in (1, 3, 5, 7):
+            one, two = (upsilon(CFExpansion(prefix[:k], (tail,))) for tail in (1, 2))
+            gaps[k] = float(abs(one - two))
+        assert max(gaps[3], gaps[5]) < gaps[1], (prefix, gaps)
+        assert gaps[7] < gaps[1] / 4, (prefix, gaps)
+        assert gaps[7] <= 0.01, (prefix, gaps)
