@@ -9,7 +9,6 @@ drive these, so the pass/fail lines printed there come from one place.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ from .cfrac import CFExpansion, brjuno_partial_sums
 from .cantor import semiconjugacy_check
 from .combdomain import (
     OmegaDomain,
-    build_gamma_n,
     chain_midpoint,
     crosscut_chain,
     gamma_hausdorff,
@@ -32,7 +30,6 @@ from .combdomain import (
     toy_sequences,
 )
 from .dynamics import (
-    cardioid_parameter,
     hausdorff_distance,
     lavrentiev_monte_carlo,
     render_julia,

@@ -15,7 +15,6 @@ from .errors import InvariantError
 __all__ = [
     "Angle",
     "double",
-    "halve_preimages",
     "circle_distance",
     "cyclic_sort",
 ]
@@ -74,12 +73,6 @@ class Angle:
 def double(a: Angle) -> Angle:
     """Image of a under x -> 2x mod 1."""
     return Angle(2 * a.fraction)
-
-
-def halve_preimages(a: Angle) -> tuple[Angle, Angle]:
-    """The two preimages of a under doubling: a/2 and a/2 + 1/2."""
-    half = a.fraction / 2
-    return Angle(half), Angle(half + Fraction(1, 2))
 
 
 def circle_distance(a: Angle, b: Angle) -> Fraction:

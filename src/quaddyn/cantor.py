@@ -110,10 +110,6 @@ class HalfCircleArc:
         if not (self.low.width < rel and rel + self.alpha.width < HALF):
             raise PrecisionError("cannot certify the alpha bracket inside the arc")
 
-    @property
-    def bracket_width(self) -> Fraction:
-        return self.low.width
-
     def classify(self, lo: Fraction, width: Fraction = Fraction(0)) -> int:
         """Certified side of the bracket [lo, lo + width] on the circle.
 
@@ -215,9 +211,6 @@ class CantorCover:
     depth: int
     arcs: tuple[CircleInterval, ...]
     hausdorff_bound: Fraction
-
-    def covers(self, x: Fraction) -> bool:
-        return any(a.contains(x % 1) for a in self.arcs)
 
     def total_length(self) -> Fraction:
         return sum((a.width for a in self.arcs), Fraction(0))

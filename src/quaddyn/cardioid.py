@@ -186,12 +186,12 @@ class ExternalAngle:
     exact_pair: tuple[Angle, Angle] | None = None
 
 
-def external_angle(cf: CFExpansion, n: int, max_convergents: int = 600) -> ExternalAngle:
+def external_angle(cf: CFExpansion, n: int) -> ExternalAngle:
     """External angle of the cardioid point with internal angle given by cf.
 
     Runs landing pairs along the convergents of the internal angle until two
     successive minus-angles agree to within 2^-n, then reports the last one
-    with the certified bound 2^(1-n).
+    with the certified bound 2^(1-n).  Gives up after 600 convergents.
     """
     if n < 1:
         raise InvariantError("accuracy exponent must be >= 1")
@@ -207,7 +207,7 @@ def external_angle(cf: CFExpansion, n: int, max_convergents: int = 600) -> Exter
     threshold = Fraction(1, 2**n)
     iterates: list[Angle] = []
     prev: Angle | None = None
-    quotients = map(cf.quotient, range(max_convergents))
+    quotients = map(cf.quotient, range(600))
     for pp, qq, _, _ in _convergents(quotients):
         if pp >= qq:
             # Only the first convergent 1/1 can do this; it is not a valid
@@ -223,5 +223,5 @@ def external_angle(cf: CFExpansion, n: int, max_convergents: int = 600) -> Exter
             )
         prev = current
     raise PrecisionError(
-        f"stopping rule did not fire within {max_convergents} convergents"
+        "stopping rule did not fire within 600 convergents"
     )

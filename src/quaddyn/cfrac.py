@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from mpmath import mp
 
@@ -24,11 +24,9 @@ __all__ = [
     "convergents",
     "convergent_pairs",
     "cf_expand",
-    "cf_expand_real",
     "gauss_orbit",
     "brjuno_sum",
     "brjuno_partial_sums",
-    "is_bounded_type",
     "perturbed_cf",
     "parse_cf_text",
 ]
@@ -111,12 +109,6 @@ class CFExpansion:
         j = (k - len(self.quotients)) % len(self.tail)
         return CFExpansion((), self.tail[j:] + self.tail[:j])
 
-    def max_quotient(self) -> int:
-        pool = self.quotients + (self.tail or ())
-        if not pool:
-            raise InvariantError("empty expansion")
-        return max(pool)
-
     # -- exact values --------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
@@ -192,13 +184,6 @@ class CFExpansion:
             if i > 100_000:
                 raise PrecisionError("bracket did not converge; width too small?")
 
-    def describe(self) -> str:
-        body = ",".join(str(r) for r in self.quotients)
-        if self.tail is None:
-            return body
-        rep = ",".join(str(r) for r in self.tail)
-        return f"{body}:rep={rep}" if body else f":rep={rep}"
-
 
 def _convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
     """Yield (p, q, prev_p, prev_q) after each quotient; p/q is the newest convergent."""
@@ -240,38 +225,6 @@ def cf_expand(x: Fraction) -> CFExpansion:
     return CFExpansion(tuple(quotients))
 
 
-def cf_expand_real(
-    oracle: Callable[[int], Fraction], count: int, budget_bits: int
-) -> tuple[int, ...]:
-    """Certify the first quotients of a real given by a rational oracle.
-
-    oracle(b) must return a rational within 2**-b of the target.  Quotients
-    are reported only while the interval arithmetic pins them down; running
-    out of precision raises instead of guessing.
-    """
-    approx = Fraction(oracle(budget_bits))
-    eps = Fraction(1, 2**budget_bits)
-    lo, hi = approx - eps, approx + eps
-    quotients: list[int] = []
-    for i in range(count):
-        if lo <= 0 or hi >= 1:
-            raise PrecisionError(
-                f"budget 2^-{budget_bits} cannot certify quotient {i + 1}: "
-                f"interval touches the unit interval boundary"
-            )
-        inv_lo, inv_hi = 1 / hi, 1 / lo
-        r = inv_lo.numerator // inv_lo.denominator
-        r_hi = inv_hi.numerator // inv_hi.denominator
-        if r != r_hi:
-            raise PrecisionError(
-                f"budget 2^-{budget_bits} cannot certify quotient {i + 1}: "
-                f"candidates {r} and {r_hi}"
-            )
-        quotients.append(r)
-        lo, hi = inv_lo - r, inv_hi - r
-    return tuple(quotients)
-
-
 def gauss_orbit(cf: CFExpansion, n: int, prec_bits: int = 128) -> list:
     """theta_1 .. theta_n where theta_k is the value of the k-shifted expansion.
 
@@ -300,13 +253,6 @@ def brjuno_partial_sums(cf: CFExpansion, terms: int, prec_bits: int = 128) -> li
 def brjuno_sum(cf: CFExpansion, terms: int, prec_bits: int = 128):
     """Brjuno function partial sum with the stated number of terms."""
     return brjuno_partial_sums(cf, terms, prec_bits)[-1]
-
-
-def is_bounded_type(cf: CFExpansion, bound: int) -> bool:
-    """True when every partial quotient (tail included) is <= bound."""
-    if bound < 1:
-        return False
-    return cf.max_quotient() <= bound
 
 
 def perturbed_cf(prefix: Sequence[int], amplitude) -> CFExpansion:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -94,9 +93,16 @@ def _parse_complex(text: str) -> complex:
     raise ValueError(f"expected re[,im], got {text!r}")
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_angle_arg(text: str) -> "Fraction | float":
     if "/" in text:
-        return Fraction(text)
+        return _parse_fraction(text)
     if "." in text or "e" in text or "E" in text:
         return float(text)
     return Fraction(int(text))
@@ -118,7 +124,7 @@ def _cf_from_args(args: argparse.Namespace):
     if getattr(args, "cf", None):
         return parse_cf_text(args.cf)
     if getattr(args, "value", None):
-        return cf_expand(Fraction(args.value))
+        return cf_expand(_parse_fraction(args.value))
     raise InvariantError("need --cf or --value")
 
 
@@ -400,6 +406,8 @@ def _run_lavrentiev(args, writer: ArtifactWriter) -> dict:
     from .dynamics import lavrentiev_check, lavrentiev_monte_carlo
 
     if args.endpoints:
+        if args.distance is None:
+            raise ValueError("--endpoints needs --distance")
         x1_str, x2_str = args.endpoints.split(",")
         result = lavrentiev_check((float(x1_str), float(x2_str)), args.distance)
         doc = {

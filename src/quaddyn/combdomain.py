@@ -23,10 +23,9 @@ from .errors import InvariantError
 
 Point = tuple[Fraction, Fraction]
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_EXPR_RE = re.compile(
-    rf"^\s*({_RAT})\s*([+-])\s*(\d+)\s*\^\s*(-?)\s*k\s*$"
-)
+# a rational literal; a zero denominator does not match
+_RAT = r"[+-]?\d+(?:/0*[1-9]\d*)?"
+_EXPR_RE = re.compile(rf"^\s*({_RAT})\s*([+-])\s*(\d+)\s*\^\s*-\s*k\s*$")
 _CONST_RE = re.compile(rf"^\s*({_RAT})\s*$")
 
 
@@ -87,11 +86,11 @@ def parse_sequence_expr(
 ) -> MonotoneRationalSequence:
     """Build a sequence from a compact expression such as "1/4-4^-k".
 
-    Supported forms: a bare rational constant, or constant +/- base^k and
-    constant +/- base^-k with an integer base.  For the decaying forms the
-    constant is the limit, so it doubles as a degenerate limit bracket.
-    The inferred direction can be overridden, which matters only for
-    constants (monotone either way).
+    Supported forms: a bare rational constant, or constant +/- base^-k with
+    an integer base; anything else raises InvariantError.  The constant is
+    the limit, so it doubles as a degenerate limit bracket.  The inferred
+    direction can be overridden, which matters only for constants (monotone
+    either way).
     """
     m = _CONST_RE.match(text)
     if m:
@@ -107,28 +106,15 @@ def parse_sequence_expr(
     const = Fraction(m.group(1))
     sign = 1 if m.group(2) == "+" else -1
     base = int(m.group(3))
-    decaying = m.group(4) == "-"
     if base < 1:
         raise InvariantError("exponential base must be at least 1")
-
-    if decaying:
-        def term_fn(k: int) -> Fraction:
-            return const + sign * Fraction(1, base**k)
-
-        inferred = (
-            SequenceDirection.DECREASING if sign > 0 else SequenceDirection.INCREASING
-        )
-        bracket = (const, const)
-    else:
-        def term_fn(k: int) -> Fraction:
-            return const + sign * Fraction(base**k)
-
-        inferred = (
-            SequenceDirection.INCREASING if sign > 0 else SequenceDirection.DECREASING
-        )
-        bracket = None
+    inferred = (
+        SequenceDirection.DECREASING if sign > 0 else SequenceDirection.INCREASING
+    )
     return MonotoneRationalSequence(
-        direction=direction or inferred, term_fn=term_fn, limit_bracket=bracket
+        direction=direction or inferred,
+        term_fn=lambda k: const + sign * Fraction(1, base**k),
+        limit_bracket=(const, const),
     )
 
 
@@ -330,31 +316,6 @@ def chain_midpoint(n: int) -> Point:
     return (Fraction(0), 7 * _pow3(-n - 1))
 
 
-@dataclass(frozen=True)
-class ChainIncidence:
-    """Exact endpoint incidence of a crosscut on the carved boundary."""
-
-    bottom_on_right_slat_top: bool
-    top_on_left_slat_bottom: bool
-
-
-def chain_incidence(dom: OmegaDomain, n: int) -> ChainIncidence:
-    """Check which slat edges the nth crosscut's endpoints touch.
-
-    The bottom endpoint should sit on the top edge of the right slat and
-    the top endpoint on the bottom edge of the left slat; this is verified
-    by exact comparisons rather than assumed, since it constrains the
-    sequences only through the signs of a_n and b_n.
-    """
-    seg = crosscut_chain(n)
-    a_n, b_n = dom.a(n), dom.b(n)
-    unit = _pow3(-n - 1)
-    bottom, top = seg.start, seg.end
-    on_right_top = bottom[1] == 6 * unit and -a_n <= bottom[0] <= b_n
-    on_left_bottom = top[1] == 8 * unit and -b_n <= top[0] <= a_n
-    return ChainIncidence(on_right_top, on_left_bottom)
-
-
 def impression_segments(dom: OmegaDomain, k: int) -> tuple[Segment, Segment]:
     """Inner and outer sandwich segments on the real axis at depth k.
 
@@ -407,10 +368,8 @@ def in_domain(dom: OmegaDomain, depth: int, point: Point) -> PointLocation:
     return PointLocation.INSIDE
 
 
-def sample_polyline(
-    vertices: Iterable[Point], spacing: float, closed: bool = True
-) -> list[complex]:
-    """Sample a rectilinear polygon at roughly the given spacing.
+def sample_polyline(vertices: Iterable[Point], spacing: float) -> list[complex]:
+    """Sample a closed rectilinear polygon at roughly the given spacing.
 
     Returns complex points including every vertex, for feeding the
     point-cloud Hausdorff distance.
@@ -420,7 +379,7 @@ def sample_polyline(
         return [complex(*p) for p in pts]
     if spacing <= 0:
         raise InvariantError("spacing must be positive")
-    edges = list(zip(pts, pts[1:] + (pts[:1] if closed else [])))
+    edges = list(zip(pts, pts[1:] + pts[:1]))
     out: list[complex] = []
     for (x1, y1), (x2, y2) in edges:
         length = abs(x2 - x1) + abs(y2 - y1)
@@ -428,17 +387,17 @@ def sample_polyline(
         for i in range(steps):
             t = i / steps
             out.append(complex(x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
-    if not closed:
-        out.append(complex(*pts[-1]))
     return out
 
 
-def gamma_hausdorff(dom: OmegaDomain, n: int, m: int, spacing: float | None = None) -> float:
-    """Sampled Hausdorff distance between two boundary approximants."""
+def gamma_hausdorff(dom: OmegaDomain, n: int, m: int) -> float:
+    """Sampled Hausdorff distance between two boundary approximants.
+
+    Both curves are sampled at a quarter of the finer depth's slab unit.
+    """
     from .dynamics import hausdorff_distance
 
-    if spacing is None:
-        spacing = float(_pow3(-max(n, m))) / 4
+    spacing = float(_pow3(-max(n, m))) / 4
     first = sample_polyline(build_gamma_n(dom, n), spacing)
     second = sample_polyline(build_gamma_n(dom, m), spacing)
     return hausdorff_distance(first, second)

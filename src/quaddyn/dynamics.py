@@ -1,4 +1,4 @@
-"""Quadratic dynamics in the plane: escape orbits, pixel renders, ray traces.
+"""Quadratic dynamics in the plane: escape-time pixel renders, ray traces.
 
 The renderer classifies dyadic pixels as near/far/borderline with respect to
 the Julia set of z -> z^2 + c using escape counts plus the exterior
@@ -26,62 +26,24 @@ from .cfrac import CFExpansion
 from .errors import InvariantError, PrecisionError
 
 __all__ = [
-    "EscapeResult",
     "PixelGrid",
     "RayTrace",
     "LavrentievResult",
     "FAR",
     "NEAR",
     "BORDERLINE",
-    "iterate",
     "cardioid_parameter",
     "render_julia",
     "hausdorff_distance",
     "trace_ray",
     "lavrentiev_check",
     "lavrentiev_monte_carlo",
-    "disk_to_slit",
     "slit_to_disk",
 ]
 
 FAR = 0
 NEAR = 1
 BORDERLINE = 2
-
-
-@dataclass(frozen=True)
-class EscapeResult:
-    """Outcome of iterating z -> z^2 + c against an escape radius."""
-
-    escaped: bool
-    steps: int | None
-
-    def __bool__(self) -> bool:
-        return self.escaped
-
-
-def iterate(
-    c: complex, z: complex, max_iter: int = 256, escape_radius: float | None = None
-) -> EscapeResult:
-    """Iterate until |z| exceeds the escape radius or the budget runs out.
-
-    The radius must be at least 2 + |c| so that crossing it certifies escape
-    to infinity; steps is the first index k with |f^k(z)| beyond the radius.
-    """
-    if escape_radius is None:
-        escape_radius = 2 + abs(c) + 0.5
-    if escape_radius < 2 + abs(c):
-        raise InvariantError("escape radius below 2 + |c| cannot certify escape")
-    if max_iter < 1:
-        raise InvariantError("need at least one iteration")
-    w = complex(z)
-    if abs(w) > escape_radius:
-        return EscapeResult(escaped=True, steps=0)
-    for k in range(1, max_iter + 1):
-        w = w * w + c
-        if abs(w) > escape_radius:
-            return EscapeResult(escaped=True, steps=k)
-    return EscapeResult(escaped=False, steps=None)
 
 
 def cardioid_parameter(theta: "Fraction | float | CFExpansion") -> complex:
@@ -132,26 +94,22 @@ class PixelGrid:
 
 
 def render_julia(
-    c: complex,
-    n: int,
-    max_iter: int = 128,
-    half_width: float = 2.5,
-    safety: float = 4.0,
-    near_factor: float = 1.0,
+    c: complex, n: int, max_iter: int = 128, safety: float = 4.0
 ) -> PixelGrid:
     """Classify a dyadic pixel grid against the Julia set of z^2 + c.
 
-    Escaped cells get the distance estimate |z| log|z| / |z'|: within
-    near_factor pixels is near, beyond 2*safety pixels is far, else
-    borderline.  Bounded cells with an escaped 4-neighbor toggle to near
-    (the boundary passes between the centers if the bounded side is honest);
-    all other bounded cells stay borderline.
+    The grid covers the square [-2.5, 2.5]^2.  Escaped cells get the
+    distance estimate |z| log|z| / |z'|: within one pixel is near, beyond
+    2*safety pixels is far, else borderline.  Bounded cells with an escaped
+    4-neighbor toggle to near (the boundary passes between the centers if
+    the bounded side is honest); all other bounded cells stay borderline.
     """
     if n < 1 or n > 14:
         raise InvariantError("resolution exponent must be in 1..14")
     if safety < 1:
         raise InvariantError("safety factor below 1 breaks the far guarantee")
     h = 2.0**-n
+    half_width = 2.5
     side = int(round(2 * half_width / h))
     xs = -half_width + (np.arange(side) + 0.5) * h
     z = (xs[None, :] + 1j * xs[:, None]).astype(np.complex128)
@@ -173,7 +131,7 @@ def render_julia(
         d_est = mag * np.log(mag) / np.maximum(grad, 1e-300)
     esc_class = np.full(d_est.shape, BORDERLINE, dtype=np.int8)
     esc_class[d_est >= 2 * safety * h] = FAR
-    esc_class[d_est <= near_factor * h] = NEAR
+    esc_class[d_est <= h] = NEAR
     cells[escaped] = esc_class
     bounded = alive
     neighbor_escaped = np.zeros_like(bounded)
@@ -220,10 +178,12 @@ class RayTrace:
     """External-ray polyline ordered by strictly decreasing potential.
 
     landing_estimate equals the terminal point, except for angles that are
-    exactly periodic under doubling (odd denominator), where the terminus is
-    polished by Newton on the periodicity equation of the landing orbit.
-    That matters at parabolic parameters, where the raw polyline approaches
-    its landing point only at a cube-root-of-log rate.
+    exactly periodic under doubling (odd denominator) with period at most
+    64, where the terminus is polished by Newton on the periodicity equation
+    of the landing orbit.  That matters at parabolic parameters, where the
+    raw polyline approaches its landing point only at a cube-root-of-log
+    rate.  Longer periods keep the raw terminus: the polish costs 240 times
+    the period in map iterations, and 1/q can have period up to q - 1.
     """
 
     angle: Fraction | float
@@ -276,26 +236,21 @@ def _doubled_angle(angle: "Fraction | float", m: int) -> float:
 
 
 def trace_ray(
-    c: complex,
-    angle: "Angle | Fraction | float",
-    t_min: float = 1e-6,
-    steps_per_halving: int = 8,
-    start_potential: float | None = None,
+    c: complex, angle: "Angle | Fraction | float", t_min: float = 1e-6
 ) -> RayTrace:
     """Trace the external ray of the given angle down to potential t_min.
 
-    Starts on the Boettcher-asymptotic circle at the start potential and
-    descends a geometric ladder, correcting each point by Newton on the
-    appropriate forward iterate so magnitudes stay bounded.  A failed
-    correction bisects the ladder step (in log potential) before giving up.
+    Starts on the Boettcher-asymptotic circle at potential log 1e4 and
+    descends a geometric ladder of eight steps per halving, correcting each
+    point by Newton on the appropriate forward iterate so magnitudes stay
+    bounded.  A failed correction bisects the ladder step (in log potential)
+    before giving up.
     Meaningful for connected Julia sets; disconnectedness is not detected.
     """
     if t_min <= 0:
         raise InvariantError("t_min must be positive")
-    if steps_per_halving < 1:
-        raise InvariantError("steps_per_halving must be >= 1")
     alpha = angle.fraction if isinstance(angle, Angle) else angle
-    t0 = start_potential if start_potential is not None else math.log(1e4)
+    t0 = math.log(1e4)
     if t0 <= t_min:
         raise InvariantError("start potential must exceed t_min")
 
@@ -319,7 +274,7 @@ def trace_ray(
             z_mid = advance(z_from, t_from, t_mid, depth - 1)
             return advance(z_mid, t_mid, t_to, depth - 1)
 
-    ratio = 2.0 ** (-1.0 / steps_per_halving)
+    ratio = 2.0 ** (-1.0 / 8)
     points = [point_at(t0, None)]
     potentials = [t0]
     t = t0
@@ -346,7 +301,8 @@ def trace_ray(
 
 
 def _angle_period(alpha: Fraction) -> int | None:
-    """Period of alpha under doubling, or None if it is not purely periodic.
+    """Period of alpha under doubling, or None if it is not purely periodic
+    or its period exceeds 64 (the cap on the landing polish).
 
     An angle is purely periodic exactly when its reduced denominator is odd;
     the period is then the multiplicative order of 2 modulo the denominator.
@@ -402,11 +358,6 @@ def _refine_periodic_landing(
     return None
 
 
-def disk_to_slit(u: complex) -> complex:
-    """Riemann map of the unit disk onto the plane slit along |x| >= 1/2."""
-    return u / (1 + u * u)
-
-
 def slit_to_disk(v: complex) -> complex:
     """Inverse Riemann map of the doubly slit plane, vanishing at 0."""
     if v == 0:
@@ -438,7 +389,7 @@ class LavrentievResult:
 
 
 def lavrentiev_check(
-    endpoints: tuple[float, float], distance: float, samples: int = 200
+    endpoints: tuple[float, float], distance: float
 ) -> LavrentievResult:
     """Check the crosscut-diameter inequality on one semicircular crosscut.
 
@@ -447,7 +398,8 @@ def lavrentiev_check(
     is the open upper half-disk.  distance is the caller's lower bound M for
     the gap between the crosscut and the base point 0; with eps^2 the
     crosscut diameter, the precondition eps^2 < M/4 must hold and the image
-    diameter is compared against 30*eps/sqrt(M).
+    diameter is compared against 30*eps/sqrt(M).  The image is sampled in
+    200 equal steps along the arc and along the slit edge.
     """
     x1, x2 = sorted(endpoints)
     if x1 * x2 <= 0 or min(abs(x1), abs(x2)) < 0.5:
@@ -465,9 +417,8 @@ def lavrentiev_check(
     eps = math.sqrt(diam)
     if eps * eps >= distance / 4:
         raise InvariantError("precondition requires diam(crosscut) < distance/4")
-    if samples < 16:
-        raise InvariantError("need at least 16 boundary samples")
 
+    samples = 200
     image: list[complex] = []
     # Open arc only: at psi = 0 or pi the point is exactly real, where the
     # principal square root jumps to the lower edge.  The endpoint values
@@ -495,7 +446,7 @@ def lavrentiev_check(
 
 
 def lavrentiev_monte_carlo(
-    count: int = 100, seed: int = 20240801, samples: int = 200
+    count: int = 100, seed: int = 20240801
 ) -> list[LavrentievResult]:
     """Run the crosscut check on random admissible semicircular crosscuts.
 
@@ -520,5 +471,5 @@ def lavrentiev_monte_carlo(
             pair = (-(s + radius), -(s - radius))
         else:
             pair = (s - radius, s + radius)
-        results.append(lavrentiev_check(pair, distance, samples=samples))
+        results.append(lavrentiev_check(pair, distance))
     return results

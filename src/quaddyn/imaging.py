@@ -8,7 +8,6 @@ serialized as P6.  Nothing here is precision-sensitive; rendering choices
 from __future__ import annotations
 
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -31,10 +30,6 @@ def ppm_bytes(rgb: np.ndarray) -> bytes:
     return b"P6\n%d %d\n255\n" % (w, h) + data.tobytes()
 
 
-def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
-    Path(path).write_bytes(ppm_bytes(rgb))
-
-
 def classification_image(cells: np.ndarray) -> np.ndarray:
     """Map a renderer cell grid to colors, upper rows first.
 
@@ -47,12 +42,9 @@ def classification_image(cells: np.ndarray) -> np.ndarray:
     return rgb[::-1]
 
 
-def cover_strip_image(
-    arcs, width: int = 720, height: int = 36
-) -> np.ndarray:
-    """Render circle arcs as dark bands on a horizontal [0,1) strip."""
-    if width < 8 or height < 2:
-        raise InvariantError("strip too small to draw")
+def cover_strip_image(arcs) -> np.ndarray:
+    """Render circle arcs as dark bands on a 720x36 horizontal [0,1) strip."""
+    width, height = 720, 36
     row = np.zeros(width, dtype=bool)
     for arc in arcs:
         lo = float(arc.lo % 1)

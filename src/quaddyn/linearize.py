@@ -47,7 +47,6 @@ __all__ = [
     "conformal_radius_estimate",
     "inner_radius_probe",
     "functional_residual",
-    "koebe_bound_F",
     "radius_ratio_experiment",
 ]
 
@@ -412,13 +411,6 @@ def functional_residual(
             for f_r, f_i, q_r, q_i in zip(fr, fi, qr, qi)
         )
         return _fixed_sqrt(worst, frac)
-
-
-def koebe_bound_F(x: "Fraction | float") -> "Fraction | float":
-    """The distortion bound 4x/(1+x)^2, exact on rational input."""
-    if not 0 <= x <= 1:
-        raise InvariantError("argument must lie in [0, 1]")
-    return 4 * x / (1 + x) ** 2
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,9 @@ from quaddyn.cfrac import (
     brjuno_partial_sums,
     brjuno_sum,
     cf_expand,
-    cf_expand_real,
     convergent_pairs,
     convergents,
     gauss_orbit,
-    is_bounded_type,
     parse_cf_text,
     perturbed_cf,
 )
@@ -102,16 +100,6 @@ def test_convergent_error_bound():
             assert abs(theta - mpmath.mpf(p) / q) < mpmath.mpf(1) / (q * q_next)
 
 
-def test_cf_expand_real_recovers_golden_prefix():
-    # Independent oracle: (sqrt(5) - 1) / 2 through integer square roots.
-    def oracle(bits):
-        import math
-
-        return Fraction(math.isqrt(5 * 4**bits) - 2**bits, 2 ** (bits + 1))
-
-    assert cf_expand_real(oracle, 10, budget_bits=128) == (1,) * 10
-
-
 def test_gauss_orbit_constant_for_fixed_points():
     for cf, k in ((GOLDEN, 1), (SILVER, 2)):
         orbit = gauss_orbit(cf, 6, prec_bits=96)
@@ -150,13 +138,6 @@ def test_brjuno_converges_to_closed_form(cf):
         assert abs(sums[-1] - closed) < 1e-6
 
 
-def test_bounded_type():
-    assert is_bounded_type(GOLDEN, 1)
-    assert not is_bounded_type(GOLDEN, 0)
-    assert not is_bounded_type(CFExpansion((1, 1, 5), (1,)), 3)
-    assert is_bounded_type(CFExpansion((1, 1, 5), (1,)), 5)
-
-
 def test_perturbed_cf_inserts_floor_of_power():
     assert perturbed_cf((1, 1), 2).quotients == (1, 1, 4)
     assert perturbed_cf((1, 1, 1), 2).quotients == (1, 1, 1, 8)
@@ -172,8 +153,7 @@ def test_perturbed_cf_rejects_small_amplitude():
 
 
 def test_parse_cf_text_round_trip():
-    cf = CFExpansion((1, 2, 3), (4, 5))
-    assert parse_cf_text(cf.describe()) == cf
+    assert parse_cf_text("1,2,3:rep=4,5") == CFExpansion((1, 2, 3), (4, 5))
     assert parse_cf_text("cf:1,1,1:rep=1") == CFExpansion((1, 1, 1), (1,))
     assert parse_cf_text("2,2,2") == CFExpansion((2, 2, 2))
 

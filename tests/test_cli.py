@@ -47,6 +47,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert _run(capsys, ["no-such-verb"])[0] == 2
     assert _run(capsys, [])[0] == 2
     assert _run(capsys, ["orbit", "--pq", "seven"])[0] == 2
+    # a zero denominator or a missing --distance is a usage error with one
+    # JSON object on stderr, not a traceback
+    for argv in (
+        ["ray", "--c", "0", "--angle", "1/0"],
+        ["cf", "--value", "1/0"],
+        ["brjuno", "--value", "1/0"],
+        ["cantor", "--value", "1/0"],
+        ["lavrentiev", "--endpoints", "1.0,1.001"],
+    ):
+        code, _, err = _run(capsys, argv + ["--out", str(tmp_path)])
+        assert code == 2
+        assert json.loads(err)["error"] == "UsageError"
 
 
 def test_precision_failure_exits_3(tmp_path, capsys):

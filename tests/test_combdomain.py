@@ -11,7 +11,6 @@ from quaddyn.combdomain import (
     PointLocation,
     SequenceDirection,
     build_gamma_n,
-    chain_incidence,
     chain_midpoint,
     crosscut_chain,
     gamma_hausdorff,
@@ -58,6 +57,13 @@ def test_parse_sequence_expr_rejects_garbage():
         parse_sequence_expr("k^2")
     with pytest.raises(InvariantError):
         parse_sequence_expr("1/4 - 5*k")
+    # growing forms are not part of the grammar
+    with pytest.raises(InvariantError):
+        parse_sequence_expr("1/3+4^k")
+    # a zero denominator is malformed, not a division error
+    for text in ("1/0", "1/00-4^-k"):
+        with pytest.raises(InvariantError):
+            parse_sequence_expr(text)
 
 
 def test_monotone_sequence_flags_violation_on_query():
@@ -182,11 +188,17 @@ def test_crosscut_chains_descend_strictly():
 
 
 def test_chain_incidence_exact():
+    # The nth crosscut runs from the top edge of the right slat to the
+    # bottom edge of the left slat, by exact comparison.
     dom = _toy_domain()
     for n in (1, 2, 3, 4):
-        inc = chain_incidence(dom, n)
-        assert inc.bottom_on_right_slat_top
-        assert inc.top_on_left_slat_bottom
+        _, left_slat, right_slat = rectangles(dom, n)
+        chain = crosscut_chain(n)
+        bottom, top = chain.start, chain.end
+        assert bottom[1] == right_slat.y_hi
+        assert right_slat.x_lo <= bottom[0] <= right_slat.x_hi
+        assert top[1] == left_slat.y_lo
+        assert left_slat.x_lo <= top[0] <= left_slat.x_hi
 
 
 def test_impressions_nest_monotonically():

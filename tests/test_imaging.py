@@ -12,7 +12,6 @@ from quaddyn.imaging import (
     cover_strip_image,
     domain_image,
     ppm_bytes,
-    write_ppm,
 )
 
 
@@ -38,10 +37,10 @@ def test_classification_image_flips_rows():
 
 def test_cover_strip_marks_arcs():
     arcs = [CircleInterval(Fraction(0), Fraction(1, 4))]
-    rgb = cover_strip_image(arcs, width=80, height=8)
-    assert rgb.shape == (8, 80, 3)
-    left = rgb[4, 2]
-    right = rgb[4, 70]
+    rgb = cover_strip_image(arcs)
+    assert rgb.shape == (36, 720, 3)
+    left = rgb[18, 18]
+    right = rgb[18, 630]
     assert not np.array_equal(left, right)
 
 
@@ -51,10 +50,3 @@ def test_domain_image_deterministic():
     b = domain_image(dom, 2, resolution=48)
     assert a.shape == (48, 48, 3)
     assert np.array_equal(a, b)
-
-
-def test_write_ppm_round_trip(tmp_path):
-    rgb = np.full((4, 4, 3), 7, dtype=np.uint8)
-    target = tmp_path / "img.ppm"
-    write_ppm(target, rgb)
-    assert target.read_bytes() == ppm_bytes(rgb)

@@ -7,7 +7,6 @@ mpc sum for the circle DFT, and the full-window scan for the root test."""
 
 import math
 import random
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -23,7 +22,6 @@ from quaddyn.linearize import (
     conformal_radius_estimate,
     functional_residual,
     inner_radius_probe,
-    koebe_bound_F,
     linearization_coeffs,
     radius_ratio_experiment,
 )
@@ -354,34 +352,6 @@ def test_inner_probe_sampling_density_stable(golden_series):
     a = float(inner_radius_probe(golden_series, est.r_hat, samples=512).value)
     b = float(inner_radius_probe(golden_series, est.r_hat, samples=1024).value)
     assert abs(a - b) <= 0.01 * max(a, b)
-
-
-def test_koebe_bound_exact_values():
-    assert koebe_bound_F(Fraction(1)) == 1
-    assert koebe_bound_F(Fraction(0)) == 0
-    assert koebe_bound_F(Fraction(1, 2)) == Fraction(8, 9)
-    assert koebe_bound_F(Fraction(1, 3)) == Fraction(3, 4)
-
-
-def test_koebe_bound_monotone_and_capped():
-    xs = [Fraction(k, 16) for k in range(17)]
-    vals = [koebe_bound_F(x) for x in xs]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    assert all(v <= 1 for v in vals)
-
-
-def test_koebe_bound_rejects_outside_domain():
-    with pytest.raises(InvariantError):
-        koebe_bound_F(Fraction(3, 2))
-    with pytest.raises(InvariantError):
-        koebe_bound_F(Fraction(-1, 2))
-
-
-def test_nested_disk_distortion_identity():
-    # For V = B(0, rho) inside U = B(0, 1), conformal radii equal the radii
-    # and the distortion bound r(V) <= r(U) * F(rho(V)/rho(U)) must hold.
-    for rho in (Fraction(1, 4), Fraction(1, 2), Fraction(7, 8)):
-        assert rho <= koebe_bound_F(rho)
 
 
 def test_ratio_experiment_golden_prefix_small():
