@@ -60,17 +60,17 @@ _DEFAULT_PREC = {
 
 def _resolve_prec(args: argparse.Namespace) -> int | None:
     """The effective precision: --prec, then $QUADDYN_PREC, then the default."""
-    if args.prec is not None:
-        return args.prec
-    env = os.environ.get(PREC_ENV)
-    if env:
+    prec, env = args.prec, os.environ.get(PREC_ENV)
+    if prec is None and env:
         try:
-            return int(env)
+            prec = int(env)
         except ValueError as exc:
             raise InvariantError(f"{PREC_ENV} must be an integer, got {env!r}") from exc
-    if args.command == "cantor":
+    if prec is not None and prec < 1:
+        raise InvariantError(f"precision must be at least 1 bit, got {prec}")
+    if prec is None and args.command == "cantor":
         return 2 * args.depth + 24
-    return _DEFAULT_PREC.get(args.command)
+    return prec if prec is not None else _DEFAULT_PREC.get(args.command)
 
 
 def _parse_pq(text: str) -> tuple[int, int]:

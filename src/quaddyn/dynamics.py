@@ -106,8 +106,8 @@ def render_julia(
     """
     if n < 1 or n > 14:
         raise InvariantError("resolution exponent must be in 1..14")
-    if safety < 1:
-        raise InvariantError("safety factor below 1 breaks the far guarantee")
+    if not (cmath.isfinite(c) and 1 <= safety < math.inf):
+        raise InvariantError("need a finite c and a finite safety factor >= 1")
     h = 2.0**-n
     half_width = 2.5
     side = int(round(2 * half_width / h))
@@ -402,14 +402,14 @@ def lavrentiev_check(
     200 equal steps along the arc and along the slit edge.
     """
     x1, x2 = sorted(endpoints)
-    if x1 * x2 <= 0 or min(abs(x1), abs(x2)) < 0.5:
-        raise InvariantError("endpoints must lie on a single slit, |x| >= 1/2")
+    if not (x1 * x2 > 0 and 0.5 <= min(abs(x1), abs(x2)) and math.isfinite(x2 - x1)):
+        raise InvariantError("endpoints must be finite, on a single slit, |x| >= 1/2")
     center = (x1 + x2) / 2
     radius = (x2 - x1) / 2
     if radius <= 0:
         raise InvariantError("degenerate crosscut")
     true_gap = abs(center) - radius
-    if distance <= 0 or distance > true_gap:
+    if not 0 < distance <= true_gap:
         raise InvariantError(
             f"distance {distance} is not a lower bound for the true gap {true_gap}"
         )

@@ -11,17 +11,18 @@ the diagnostics say how much to trust it.
 Fixed-point contract: the coefficient recursion, the circle probe and the
 functional residual run on Gaussian integers, a complex number x + iy held
 as the Python ints round(x * 2^f), round(y * 2^f) with f = prec + 32
-fractional bits.  A fixed-point convolution over an order-N series
-truncates by an absolute error of order N * 2^-(prec+32).  The circle is
-evaluated at S equispaced points by one exact-integer DFT: the radius-scaled
-coefficients are folded mod S (exactly, since u^S = 1) and transformed by a
-mixed-radix decimation in time whose twiddles come from a table of S-th
-roots of unity.  That table is accurate to 2^-prec, not 2^-(prec+32), so
-each value is off by about log2(S) * 2^-prec * sum |c_n| plus
-(N + S) * 2^-(prec+32); the residual still resolves defects far below 1e-60
-at 256 bits.  Every mpf <-> int conversion happens inside mp.workprec(prec),
-because mp.nint and mpf(int) round to the ambient precision (53 bits by
-default).  The public values stay mpmath numbers at prec bits.
+fractional bits.  The recursion is homogeneous of degree n, so it runs on
+c_n = b_n * 2^(-s n), dividing by the mpc chain of lam^n - lam: the absolute
+error on b_n is N * 2^-(prec+32) * 2^(s n) for an order-N series, and every
+rounding is relative at most 2^-(prec+16), as s steps down until each |c_n|
+keeps f - 16 bits.  The circle is evaluated at S equispaced points by one
+exact-integer DFT: the radius-scaled coefficients are folded mod S (exactly,
+since u^S = 1) and transformed by a mixed-radix decimation in time whose
+twiddles come from a table of S-th roots of unity, accurate to 2^-prec; so
+each value is off by about log2(S) * 2^-prec * sum |c_n| plus (N + S) *
+2^-(prec+32), and the residual still resolves defects far below 1e-60 at 256
+bits.  mpf -> int is one exact mantissa shift, independent of mp.prec; the
+public values stay mpmath numbers at prec bits.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt, log2
-from operator import mul
-from typing import Iterable, Iterator, Sequence
+from operator import add, mul
+from typing import Iterable, Sequence
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, mpc_mul, mpc_sub, round_nearest
 
 from .cfrac import CFExpansion, perturbed_cf
 from .errors import InvariantError, PrecisionError
@@ -65,14 +67,21 @@ class LinearizationSeries:
 
 
 _GUARD_BITS = 32
+_SLACK_BITS = 16  # every normalised |c_n| keeps at least frac - _SLACK_BITS bits
+
+
+def _round_shift(x: int, k: int) -> int:
+    """round(x * 2^-k), to nearest with ties to even; exact for k <= 0."""
+    return x << -k if k <= 0 else (x + (1 << (k - 1)) - 1 + ((x >> k) & 1)) >> k
+
+
+def _fixed(x: tuple, frac: int) -> int:
+    """round(x * 2^frac) for a raw mpf tuple x, by one shift of its mantissa."""
+    return _round_shift(-x[1] if x[0] else x[1], -(x[2] + frac))
 
 
 def _to_fixed(z: mpc, frac: int) -> tuple[int, int]:
-    return int(mp.nint(mp.ldexp(z.real, frac))), int(mp.nint(mp.ldexp(z.imag, frac)))
-
-
-def _from_fixed(re: int, im: int, frac: int) -> mpc:
-    return mpc(mpf((re, -frac)), mpf((im, -frac)))
+    return _fixed(z._mpc_[0], frac), _fixed(z._mpc_[1], frac)
 
 
 def _norm2(re: int, im: int) -> int:
@@ -95,7 +104,7 @@ def _scaled_fixed(
     _GUARD_BITS bits whenever shift allows, so it keeps its relative
     precision however small it gets.
     """
-    rho = int(mp.nint(mp.ldexp(radius, frac)))
+    rho = _fixed(radius._mpf_, frac)
     pw, shift = 1, 0
     re, im = [0], [0]
     for b in series.coeffs:
@@ -194,24 +203,55 @@ def _circle_values(
     )
 
 
-def _small_denominators(lam: mpc, order: int, prec: int) -> Iterator[tuple[int, int]]:
-    """lam^n - lam for n = 2..order at scale 2^(2 (prec + _GUARD_BITS)).
-
-    The floor test runs on the mpc value, and any denominator below it is
-    refused.  At that scale the conversion is exact: |d| >= 2^-(prec-8), so
-    the last bit of its prec-bit mantissa lies above 2^-(2 prec + 64).
-    """
-    floor = mpf(2) ** (-(prec - 8))
+def _small_denominators(lam: mpc, order: int, prec: int) -> list[tuple[int, int, int]]:
+    """(d, |d|^2) for d = lam^n - lam, n = 2..order, d at scale 2^(2 (prec + 32))."""
     scale = 2 * (prec + _GUARD_BITS)
-    lam_pow = lam
+    z = lam_pow = lam._mpc_
+    out = []
     for n in range(2, order + 1):
-        lam_pow *= lam
-        denom = lam_pow - lam
-        if abs(denom) < floor:
+        lam_pow = mpc_mul(lam_pow, z, prec, round_nearest)
+        dr, di = (_fixed(x, scale) for x in mpc_sub(lam_pow, z, prec, round_nearest))
+        out.append((dr, di, dr * dr + di * di))
+        if out[-1][2] < 1 << 2 * (scale - prec + 8):
             raise PrecisionError(
                 f"small denominator at n={n} is below working precision"
             )
-        yield _to_fixed(denom, scale)
+    return out
+
+
+def _extend(
+    re: list[int], im: list[int], denoms: list, order: int, frac: int, floor: int
+) -> bool:
+    """Extend c_0..c_k to c_order, or stop with False at a c_n under floor bits.
+
+    Each step sums 2 * sum_{i<n/2} c_i c_{n-i} (+ c_{n/2}^2 for even n) exactly
+    and divides once, rounding to nearest, as t * conj(d) / |d|^2.
+    """
+    # su[n] = re[n] + im[n]: the imaginary part of the convolution is
+    # sum(su su) - sum(re re) - sum(im im), three sums of products, not four
+    su = list(map(add, re, im))
+    for n in range(len(re), order + 1):
+        dr, di, norm = denoms[n - 2]
+        h = (n + 1) // 2
+        rr = sum(map(mul, re[1:h], re[n - 1 : n - h : -1]))
+        ii = sum(map(mul, im[1:h], im[n - 1 : n - h : -1]))
+        ss = sum(map(mul, su[1:h], su[n - 1 : n - h : -1]))
+        tr, ti = 2 * (rr - ii), 2 * (ss - rr - ii)
+        if n % 2 == 0:
+            mr, mi = re[h], im[h]
+            tr += mr * mr - mi * mi
+            ti += 2 * mr * mi
+        # t and d are both at scale 2^(2 frac), so t / d lands at 2^frac
+        # after the numerator is shifted up by frac
+        half = norm >> 1
+        br = (((tr * dr + ti * di) << frac) + half) // norm
+        bi = (((ti * dr - tr * di) << frac) + half) // norm
+        if max(abs(br), abs(bi)).bit_length() < floor:
+            return False
+        re.append(br)
+        im.append(bi)
+        su.append(br + bi)
+    return True
 
 
 def linearization_coeffs(
@@ -223,46 +263,36 @@ def linearization_coeffs(
     coefficients.  A small denominator indistinguishable from zero at the
     working precision aborts with the offending index, since every later
     coefficient would be garbage.
-
-    The recursion runs on fixed-point Gaussian integers at scale
-    2^(prec+32): the convolution is summed exactly as the symmetric half-sum
-    2 * sum_{i<n/2} b_i b_{n-i} (+ b_{n/2}^2 for even n) and divided once,
-    rounding to nearest, by the denominator as t * conj(d) / |d|^2.  The
-    sum is exact, so each coefficient is rounded once at that division and
-    once more back to a prec-bit mpc.
     """
     if cf.is_rational:
         raise InvariantError("linearization needs an irrational rotation number")
     if order < 2:
         raise InvariantError("need order >= 2")
-    frac = prec + _GUARD_BITS
     with mp.workprec(prec):
-        theta = cf.value_mpf(prec)
-        lam = mp.expjpi(2 * theta)
-        # su[n] = re[n] + im[n]: the imaginary part of the convolution is
-        # sum(su su) - sum(re re) - sum(im im), three sums of products, not four
-        re, im, su = [0, 1 << frac], [0, 0], [0, 1 << frac]
-        for n, (dr, di) in enumerate(_small_denominators(lam, order, prec), start=2):
-            h = (n + 1) // 2
-            rr = sum(map(mul, re[1:h], re[n - 1 : n - h : -1]))
-            ii = sum(map(mul, im[1:h], im[n - 1 : n - h : -1]))
-            ss = sum(map(mul, su[1:h], su[n - 1 : n - h : -1]))
-            tr, ti = 2 * (rr - ii), 2 * (ss - rr - ii)
-            if n % 2 == 0:
-                mr, mi = re[h], im[h]
-                tr += mr * mr - mi * mi
-                ti += 2 * mr * mi
-            # t and d are both at scale 2^(2 frac), so t / d lands at 2^frac
-            # after the numerator is shifted up by frac
-            norm = dr * dr + di * di
-            half = norm >> 1
-            br = (((tr * dr + ti * di) << frac) + half) // norm
-            bi = (((ti * dr - tr * di) << frac) + half) // norm
-            re.append(br)
-            im.append(bi)
-            su.append(br + bi)
-        coeffs = tuple(_from_fixed(r, i, frac) for r, i in zip(re[1:], im[1:]))
-        return LinearizationSeries(lam=lam, coeffs=coeffs, prec=prec)
+        lam = mp.expjpi(2 * cf.value_mpf(prec))
+    frac = prec + _GUARD_BITS
+    denoms = _small_denominators(lam, order, prec)
+    pilot = max(min(order, 32), order // 4)
+    re, im = [0, 1 << frac], [0, 0]
+    _extend(re, im, denoms, pilot, frac, 0)
+    # s: the slowest growth over the unscaled pilot's back half in bits per
+    # index, capped so that every shifted pilot value keeps its floor
+    bits = [max(abs(r), abs(i)).bit_length() - frac for r, i in zip(re, im)]
+    s = min(bits[n] // n for n in range(pilot // 2 + 1, pilot + 1))
+    s = max(0, min([s] + [(bits[n] + _SLACK_BITS) // n for n in range(2, pilot + 1)]))
+    while True:
+        cr = [_round_shift(x, s * n) for n, x in enumerate(re)]
+        ci = [_round_shift(x, s * n) for n, x in enumerate(im)]
+        if _extend(cr, ci, denoms, order, frac, frac - _SLACK_BITS if s else 0):
+            break
+        s -= 1
+    rows = [(re[n], im[n], frac) for n in range(1, pilot + 1)]
+    rows += [(cr[n], ci[n], frac - s * n) for n in range(pilot + 1, order + 1)]
+    coeffs = tuple(
+        mp.make_mpc(tuple(from_man_exp(x, -e, prec, round_nearest) for x in (r, i)))
+        for r, i, e in rows
+    )
+    return LinearizationSeries(lam=lam, coeffs=coeffs, prec=prec)
 
 
 @dataclass(frozen=True)
@@ -359,8 +389,8 @@ def inner_radius_probe(
     """
     if samples < 8:
         raise InvariantError("need at least 8 samples")
-    if not r_hat > 0:
-        raise InvariantError("need a positive radius")
+    if not 0 < r_hat < inf:
+        raise InvariantError("need a positive finite radius")
     frac = series.prec + _GUARD_BITS
     with mp.workprec(series.prec):
         radius = mpf("0.98") * mpf(r_hat)
@@ -387,8 +417,8 @@ def functional_residual(
     """
     if samples < 1:
         raise InvariantError("need at least 1 sample")
-    if not (factor > 0 and r_hat > 0):
-        raise InvariantError("need a positive radius")
+    if not (0 < factor < inf and 0 < r_hat < inf):
+        raise InvariantError("need a positive finite radius")
     frac = series.prec + _GUARD_BITS
     with mp.workprec(series.prec):
         radius = mpf(factor) * mpf(r_hat)

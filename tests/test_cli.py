@@ -242,6 +242,47 @@ def test_invalid_env_precision_exits_4(tmp_path, capsys, monkeypatch, command):
     assert json.loads(lines[0])["error"] == "InvariantError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cf", "--cf", "1:rep=1", "--prec", "-5"],
+        ["brjuno", "--cf", "1:rep=1", "--prec", "-5"],
+        ["radius", "--cf", "1:rep=1", "--prec", "-100"],
+        ["radius", "--cf", "1:rep=1", "--prec", "0"],
+    ],
+)
+def test_non_positive_precision_exits_4(tmp_path, capsys, argv):
+    code, _, err = _run(capsys, argv + ["--out", str(tmp_path)])
+    assert code == 4
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvariantError"
+
+
+@pytest.mark.parametrize("env", ["0", "-3"])
+def test_non_positive_env_precision_exits_4(tmp_path, capsys, monkeypatch, env):
+    monkeypatch.setenv("QUADDYN_PREC", env)
+    code, _, err = _run(capsys, ["cf", "--cf", "1:rep=1", "--out", str(tmp_path)])
+    assert code == 4
+    assert json.loads(err.strip())["error"] == "InvariantError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lavrentiev", "--endpoints", "1.0,1.1", "--distance", "nan"],
+        ["lavrentiev", "--endpoints", "1.0,inf", "--distance", "0.01"],
+        ["julia", "--c", "nan", "--res", "3"],
+        ["julia", "--c", "inf,0", "--res", "3"],
+    ],
+)
+def test_non_finite_inputs_exit_4(tmp_path, capsys, argv):
+    code, out, err = _run(capsys, argv + ["--out", str(tmp_path), "--json"])
+    assert code == 4
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "InvariantError"
+
+
 def test_cf_document_for_rational_value(tmp_path, capsys):
     code, out, _ = _run(capsys, ["cf", "--value", "113/355", "--out", str(tmp_path), "--json"])
     assert code == 0

@@ -240,6 +240,20 @@ def test_lavrentiev_rejects_bad_crosscuts():
         lavrentiev_check((1.0, 1.5), distance=0.9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    # NaN passes every comparison-based range guard, and inf turns the
+    # crosscut geometry into NaN, so both must be refused up front
+    for endpoints, distance in (((1.0, 1.1), bad), ((bad, 1.1), 0.01), ((1.0, bad), 0.01)):
+        with pytest.raises(InvariantError):
+            lavrentiev_check(endpoints, distance)
+    for c in (complex(bad, 0), complex(0, bad)):
+        with pytest.raises(InvariantError):
+            render_julia(c, 3)
+    with pytest.raises(InvariantError):
+        render_julia(0j, 3, safety=bad)
+
+
 def test_lavrentiev_monte_carlo_deterministic_and_clean():
     first = lavrentiev_monte_carlo(count=25, seed=7)
     second = lavrentiev_monte_carlo(count=25, seed=7)

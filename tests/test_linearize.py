@@ -2,21 +2,26 @@
 fixed point: coefficient identities, radius estimates, probes, distortion.
 
 The fixed-point kernel is checked against oracles: the plain convolution
-recursion and Horner evaluation in mpc at the series' own precision, a direct
-mpc sum for the circle DFT, and the full-window scan for the root test."""
+recursion and Horner evaluation in mpc at the series' own precision, the
+unscaled fixed-point recursion for the radius-normalised one, mp.nint for the
+mantissa-shift conversion, a direct mpc sum for the circle DFT, and the
+full-window scan for the root test."""
 
 import math
 import random
+from operator import mul
 
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
+from quaddyn import linearize
 from quaddyn.cfrac import CFExpansion, brjuno_sum, perturbed_cf
 from quaddyn.errors import InvariantError, PrecisionError
 from quaddyn.linearize import (
     LinearizationSeries,
     _circle_values,
+    _fixed,
     _to_fixed,
     _unit_points,
     conformal_radius_estimate,
@@ -57,6 +62,52 @@ def oracle_coeffs(cf, order, prec):
                 total += b[i] * b[n - i]
             b.append(total / denom)
         return LinearizationSeries(lam=lam, coeffs=tuple(b[1:]), prec=prec)
+
+
+def oracle_fixed(x, frac):
+    """round(x * 2^frac) through mpmath, at the ambient precision."""
+    return int(mp.nint(mp.ldexp(x, frac)))
+
+
+def fixed_point_oracle(cf, order, prec):
+    """The unscaled fixed-point recursion: ints round(b_n * 2^(prec+32)).
+
+    Denominators come from the mpc chain and its mpf floor test, and every
+    mpf <-> int conversion runs inside mp.workprec(prec).
+    """
+    frac = prec + 32
+    with mp.workprec(prec):
+        theta = cf.value_mpf(prec)
+        lam = mp.expjpi(2 * theta)
+        floor = mpf(2) ** (-(prec - 8))
+        re, im, su = [0, 1 << frac], [0, 0], [0, 1 << frac]
+        lam_pow = lam
+        for n in range(2, order + 1):
+            lam_pow *= lam
+            denom = lam_pow - lam
+            if abs(denom) < floor:
+                raise PrecisionError(
+                    f"small denominator at n={n} is below working precision"
+                )
+            dr, di = (oracle_fixed(part, 2 * frac) for part in (denom.real, denom.imag))
+            h = (n + 1) // 2
+            rr = sum(map(mul, re[1:h], re[n - 1 : n - h : -1]))
+            ii = sum(map(mul, im[1:h], im[n - 1 : n - h : -1]))
+            ss = sum(map(mul, su[1:h], su[n - 1 : n - h : -1]))
+            tr, ti = 2 * (rr - ii), 2 * (ss - rr - ii)
+            if n % 2 == 0:
+                mr, mi = re[h], im[h]
+                tr += mr * mr - mi * mi
+                ti += 2 * mr * mi
+            norm = dr * dr + di * di
+            half = norm >> 1
+            br = (((tr * dr + ti * di) << frac) + half) // norm
+            bi = (((ti * dr - tr * di) << frac) + half) // norm
+            re.append(br)
+            im.append(bi)
+            su.append(br + bi)
+        coeffs = tuple(mpc(mpf((r, -frac)), mpf((i, -frac))) for r, i in zip(re[1:], im[1:]))
+        return LinearizationSeries(lam=lam, coeffs=coeffs, prec=prec)
 
 
 def oracle_evaluate(series, w):
@@ -169,6 +220,20 @@ def test_small_denominator_reported():
         linearization_coeffs(GOLDEN, 200, prec=8)
     assert "n=" in str(got.value)
     assert str(got.value) == str(expected.value)
+
+
+def test_small_denominator_matches_fixed_point_oracle():
+    # the integer floor test refuses the same index as the mpf one, and
+    # below it the normalised kernel reproduces the unscaled one
+    for prec in (8, 12, 16):
+        with pytest.raises(PrecisionError) as expected:
+            fixed_point_oracle(GOLDEN, 400, prec)
+        with pytest.raises(PrecisionError) as got:
+            linearization_coeffs(GOLDEN, 400, prec=prec)
+        assert str(got.value) == str(expected.value)
+        n = int(str(expected.value).split("n=")[1].split()[0])
+        fast = linearization_coeffs(GOLDEN, n - 1, prec)
+        _assert_bit_identical(fast, fixed_point_oracle(GOLDEN, n - 1, prec))
 
 
 @pytest.mark.parametrize("prec", [192, 320])
@@ -311,6 +376,16 @@ def test_circle_evaluations_need_a_positive_radius(golden_series, r_hat, factor)
             inner_radius_probe(golden_series, mpf(r_hat))
 
 
+def test_circle_evaluations_refuse_an_infinite_radius(golden_series):
+    # the mantissa-shift conversion would read inf as 0
+    with pytest.raises(InvariantError):
+        inner_radius_probe(golden_series, mp.inf)
+    with pytest.raises(InvariantError):
+        functional_residual(golden_series, mp.inf)
+    with pytest.raises(InvariantError):
+        functional_residual(golden_series, mpf("0.3"), factor=math.inf)
+
+
 def test_root_test_matches_full_scan():
     # r-hat and half_order, bit for bit, against the exact power at every n
     for order in (128, 256, 512):
@@ -423,3 +498,117 @@ def test_upsilon_continuity_across_shared_prefixes():
         assert max(gaps[3], gaps[5]) < gaps[1], (prefix, gaps)
         assert gaps[7] < gaps[1] / 4, (prefix, gaps)
         assert gaps[7] <= 0.01, (prefix, gaps)
+
+
+def _assert_bit_identical(fast, slow):
+    assert fast.lam._mpc_ == slow.lam._mpc_
+    assert [c._mpc_ for c in fast.coeffs] == [c._mpc_ for c in slow.coeffs]
+
+
+def _ratio_members(count, seed):
+    """perturbed_cf rows with quotient-1..2 prefixes, cut after 3..6 terms."""
+    rng = random.Random(seed)
+    prefixes = [tuple(rng.randint(1, 2) for _ in range(6)) for _ in range(count)]
+    return [perturbed_cf(pre[: 3 + k % 4], 2) for k, pre in enumerate(prefixes)]
+
+
+IDENTITY_SET = ORACLE_ANGLES + _bounded_type_angles(45, 2014) + _ratio_members(12, 8)
+# |b_n| jumps by 2^91 at n = 56, in the front half of the order-512 pilot:
+# without the cap on s, the shifted pilot values lose bits
+EARLY_JUMP = perturbed_cf((1,) * 9, 3)
+
+
+@pytest.mark.parametrize(
+    "order, angles",
+    [
+        (128, IDENTITY_SET),
+        (256, IDENTITY_SET),
+        (512, IDENTITY_SET[::12] + [EARLY_JUMP]),
+        (1024, ORACLE_ANGLES),
+    ],
+    ids=["128", "256", "512", "1024"],
+)
+def test_coefficients_match_fixed_point_oracle(order, angles):
+    # The radius-normalised recursion rounds c_n = b_n 2^(-s n) where the
+    # oracle rounds b_n; at prec bits the coefficients agree bit for bit.
+    for cf in angles:
+        fast = linearization_coeffs(cf, order, 256)
+        _assert_bit_identical(fast, fixed_point_oracle(cf, order, 256))
+
+
+@pytest.mark.parametrize("cf", [CFExpansion((30,), (1,)), GOLDEN], ids=["s2", "golden"])
+def test_failed_check_steps_down_by_one(monkeypatch, cf):
+    # The first normalised run reports a coefficient under the bit floor: s
+    # steps down by one bit, not straight to 0, and the rerun from the pilot
+    # gives the oracle's coefficients.  A run starts at c_1 = 2^-s.
+    shifts = []
+    extend = linearize._extend
+
+    def spy(re, im, denoms, order, frac, floor):
+        shifts.append(frac + 1 - re[1].bit_length())
+        return len(shifts) != 2 and extend(re, im, denoms, order, frac, floor)
+
+    monkeypatch.setattr(linearize, "_extend", spy)
+    fast = linearization_coeffs(cf, 256, 256)
+    _assert_bit_identical(fast, fixed_point_oracle(cf, 256, 256))
+    s = shifts[1]
+    assert shifts == [0, s, s - 1]
+    assert s >= (2 if cf != GOLDEN else 1)
+
+
+def test_bit_floor_check_stops_a_shrinking_run():
+    # golden's |b_n| grows about 1.6 bits per index: c_n = b_n 2^-n keeps
+    # its bits, and c_n = b_n 2^(-2n) shrinks until a c_n under the floor
+    # stops the run there
+    with mp.workprec(256):
+        lam = mp.expjpi(2 * GOLDEN.value_mpf(256))
+    frac = 256 + 32
+    denoms = linearize._small_denominators(lam, 128, 256)
+    re, im = [0, 1 << frac], [0, 0]
+    assert linearize._extend(re, im, denoms, 32, frac, 0)
+    for s in (1, 2):
+        cr = [linearize._round_shift(x, s * n) for n, x in enumerate(re)]
+        ci = [linearize._round_shift(x, s * n) for n, x in enumerate(im)]
+        done = linearize._extend(cr, ci, denoms, 128, frac, frac - 16)
+        assert done == (s == 1)
+        assert len(cr) == (129 if done else 33)
+
+
+def test_fixed_point_ints_stay_near_the_working_width(monkeypatch):
+    # Golden's |b_n| grows about 1.6 bits per index, so at order 512 the
+    # unscaled ints reach frac + 812 bits; normalised, every int the
+    # recursion holds stays below frac + 320.
+    widest = []
+    extend = linearize._extend
+
+    def spy(re, im, *args):
+        done = extend(re, im, *args)
+        widest.append(max(abs(x).bit_length() for x in re + im))
+        return done
+
+    monkeypatch.setattr(linearize, "_extend", spy)
+    linearization_coeffs(GOLDEN, 512, 256)
+    assert max(widest) <= 256 + 32 + 320
+
+
+@pytest.mark.parametrize("prec", [8, 53, 256, 320])
+def test_mantissa_shift_matches_nint(prec):
+    # exact half ties, negative and zero parts, and scales from 0 upwards
+    rng = random.Random(prec)
+    for frac in (0, 1, 2, 3, prec, prec + 32, 2 * prec + 64):
+        with mp.workprec(prec):
+            values = [mpf(0), mpf("0.5"), mpf("-0.5"), mpf("1.5"), mpf("-2.5")]
+            for _ in range(300):
+                man = rng.getrandbits(prec) | 1
+                exp = rng.randint(-frac - prec - 4, 8)
+                values.append(mpf((rng.choice((-1, 1)) * man, exp)))
+                # (2k + 1) / 2 at scale 2^frac, with 2k + 1 within prec bits
+                tie = rng.getrandbits(min(prec - 1, 24)) * 2 + 1
+                values.append(mpf((rng.choice((-1, 1)) * tie, -frac - 1)))
+            for x in values:
+                assert _fixed(x._mpf_, frac) == oracle_fixed(x, frac), (prec, frac, x)
+            for x, y in zip(values, reversed(values)):
+                z = mpc(x, 0) if rng.random() < 0.2 else mpc(x, y)
+                want = oracle_fixed(z.real, frac), oracle_fixed(z.imag, frac)
+                assert _to_fixed(z, frac) == want
+
