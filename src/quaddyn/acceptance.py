@@ -142,7 +142,7 @@ def criterion_semiconjugacy() -> CriterionResult:
     details = []
     ok = True
     for name, cf in (("golden", GOLDEN), ("silver", SILVER)):
-        report = semiconjugacy_check(cf, 200, min_prec=240)
+        report = semiconjugacy_check(cf, 200)
         good = report.passed and report.undecided_pairs == 0
         good = good and report.alpha_exponent >= 240
         ok = ok and good
@@ -170,7 +170,7 @@ def criterion_linearization_identities() -> CriterionResult:
         lam = series.lam
         b2_err = abs(series.coeffs[1] - 1 / (lam * lam - lam))
     est = conformal_radius_estimate(series)
-    residual = functional_residual(series, est.r_hat, factor=0.5, samples=200)
+    residual = functional_residual(series, est.r_hat, samples=200)
     ok = b2_err < mpf("1e-60") and residual < mpf("1e-10")
     detail = f"b2 err {float(b2_err):.1e}, residual {float(residual):.1e}"
     return _finish("C06", "linearization identities", t0, 10.0, ok, detail)

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
+_MIN_PREC = 240  # starting bits of both orbits in semiconjugacy_check
 
 
 @dataclass(frozen=True)
@@ -95,17 +96,14 @@ class HalfCircleArc:
     """Certified allowed half circle for an irrational internal angle.
 
     The true arc runs from gamma = alpha/2 to gamma + 1/2 and contains alpha;
-    only brackets for the two endpoints and for alpha itself are known.  The
-    high endpoint bracket is exactly the low one shifted by a half turn.
+    only brackets for gamma (low) and for alpha itself are known.  The high
+    endpoint's bracket is low shifted by a half turn.
     """
 
     low: CircleInterval
-    high: CircleInterval
     alpha: CircleInterval
 
     def __post_init__(self) -> None:
-        if (self.high.lo - self.low.lo) % 1 != HALF or self.high.width != self.low.width:
-            raise InvariantError("endpoint brackets are not antipodal")
         rel = (self.alpha.lo - self.low.lo) % 1
         if not (self.low.width < rel and rel + self.alpha.width < HALF):
             raise PrecisionError("cannot certify the alpha bracket inside the arc")
@@ -158,10 +156,8 @@ def build_arc(cf: CFExpansion, prec: int = 64) -> HalfCircleArc:
     hi = Fraction((alpha.hi * scale).__ceil__(), scale)
     if hi - lo > Fraction(1, 2**prec) * 2:
         raise PrecisionError("alpha bracket wider than requested")
-    g_lo, width = (lo / 2) % 1, (hi - lo) / 2
-    low = CircleInterval(g_lo, g_lo + width)
-    high = CircleInterval((g_lo + HALF) % 1, (g_lo + HALF) % 1 + width)
-    return HalfCircleArc(low=low, high=high, alpha=alpha)
+    g_lo = (lo / 2) % 1
+    return HalfCircleArc(low=CircleInterval(g_lo, g_lo + (hi - lo) / 2), alpha=alpha)
 
 
 def membership(
@@ -220,9 +216,11 @@ def cover(cf: CFExpansion, depth: int, prec: int | None = None) -> CantorCover:
     """Arcs left after removing depth generations of forbidden-arc preimages.
 
     Level zero is the allowed half circle itself (outer bracket); each
-    refinement keeps the halves whose image stays covered.  Every endpoint is
-    dyadic.  prec defaults to a schedule that keeps the endpoint-bracket
-    fattening far below the arc scale 2^-depth.
+    refinement keeps the halves whose image stays covered.  The refined arcs
+    need no merging: halves of disjoint arcs are disjoint, and a half meets
+    the base arc in at most one arc because their widths sum below 1.  Every
+    endpoint is dyadic.  prec defaults to a schedule that keeps the
+    endpoint-bracket fattening far below the arc scale 2^-depth.
     """
     if depth < 0:
         raise InvariantError("cover depth must be nonnegative")
@@ -239,17 +237,7 @@ def cover(cf: CFExpansion, depth: int, prec: int | None = None) -> CantorCover:
                 if got is not None:
                     refined.append(got)
         refined.sort(key=lambda a: a.lo)
-        merged: list[CircleInterval] = []
-        for piece in refined:
-            if merged and piece.lo <= merged[-1].hi:
-                top = max(merged[-1].hi, piece.hi)
-                merged[-1] = CircleInterval(merged[-1].lo, top)
-            else:
-                merged.append(piece)
-        if len(merged) > 1 and merged[-1].hi - 1 >= merged[0].lo:
-            last, first = merged[-1], merged[0]
-            merged = [CircleInterval(last.lo, max(last.hi, first.hi + 1))] + merged[1:-1]
-        arcs = [a for a in merged if a.width > 0]
+        arcs = [a for a in refined if a.width > 0]
     return CantorCover(
         depth=depth,
         arcs=tuple(arcs),
@@ -293,15 +281,13 @@ class SemiconjugacyReport:
     max_width: Fraction
 
 
-def semiconjugacy_check(
-    cf: CFExpansion, count: int, min_prec: int = 240
-) -> SemiconjugacyReport:
+def semiconjugacy_check(cf: CFExpansion, count: int) -> SemiconjugacyReport:
     """Compare cyclic orders of the alpha orbit and the rotation orbit.
 
     Doubling restricted to the Cantor set should visit the circle in exactly
     the cyclic order the rigid rotation by theta does.  Orders are read off
     bracket midpoints, which is sound only when all brackets are pairwise
-    disjoint; the alpha precision is escalated (starting from min_prec) until
+    disjoint; the alpha precision is escalated (starting from 240 bits) until
     they are, because true orbit gaps can sit far below any fixed precision.
     Escalation failing to separate the brackets raises PrecisionError.
 
@@ -314,16 +300,16 @@ def semiconjugacy_check(
     """
     if count < 1:
         raise InvariantError("need at least one orbit point")
-    theta_lo, theta_hi = cf.bracket(Fraction(1, 2**min_prec * 4 * max(count, 2)))
+    theta_lo, theta_hi = cf.bracket(Fraction(1, 2**_MIN_PREC * 4 * max(count, 2)))
     rotation = []
     for k in range(count):
         lo = (k * theta_lo) % 1
         rotation.append(CircleInterval(lo, lo + k * (theta_hi - theta_lo)))
     order_rotation = _cyclic_order(rotation)
     if _neighbours_meet(rotation, order_rotation):
-        raise PrecisionError("rotation orbit brackets overlap; raise min_prec")
+        raise PrecisionError(f"rotation orbit brackets overlap at 2^-{_MIN_PREC}")
 
-    exponent = min_prec + count + 2
+    exponent = _MIN_PREC + count + 2
     for _ in range(6):
         arcs = dense_orbit(cf, count, exponent)
         order_doubling = _cyclic_order(arcs)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
 
 from .angles import Angle, circle_distance, cyclic_sort, double
 from .cfrac import CFExpansion, _convergents
@@ -31,17 +30,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """A doubling-map cycle in circle order together with its rotation number."""
+    """A doubling-map cycle in circle order."""
 
     angles: tuple[Angle, ...]
-    rotation: Fraction
 
     @property
     def period(self) -> int:
         return len(self.angles)
-
-    def __iter__(self) -> Iterator[Angle]:
-        return iter(self.angles)
 
 
 def _validate_pq(p: int, q: int) -> None:
@@ -96,7 +91,7 @@ def find_orbit(p: int, q: int) -> PeriodicOrbit:
     shift = _shift_of(nums, [(2 * v) % modulus for v in nums])
     if shift is None or Fraction(shift, q) != Fraction(p, q):
         raise InvariantError(f"constructed cycle fails rotation check for {p}/{q}")
-    return PeriodicOrbit(tuple(Angle(v, modulus) for v in nums), Fraction(p, q))
+    return PeriodicOrbit(tuple(Angle(v, modulus) for v in nums))
 
 
 def scan_orbits(q: int) -> dict[Fraction, list[tuple[int, ...]]]:

@@ -20,7 +20,6 @@ from .errors import InvariantError, PrecisionError
 
 __all__ = [
     "CFExpansion",
-    "canonical_quotients",
     "convergents",
     "convergent_pairs",
     "cf_expand",
@@ -30,19 +29,6 @@ __all__ = [
     "perturbed_cf",
     "parse_cf_text",
 ]
-
-
-def canonical_quotients(quotients: Sequence[int]) -> tuple[int, ...]:
-    """Fold a trailing quotient 1 into its predecessor.
-
-    [..., r, 1] and [..., r + 1] denote the same rational; the folded form is
-    the canonical one.
-    """
-    q = list(quotients)
-    if len(q) >= 2 and q[-1] == 1:
-        q.pop()
-        q[-1] += 1
-    return tuple(q)
 
 
 @dataclass(frozen=True)
@@ -73,7 +59,10 @@ class CFExpansion:
         if self.tail is None:
             if not self.quotients:
                 raise InvariantError("finite expansion needs at least one quotient")
-            object.__setattr__(self, "quotients", canonical_quotients(self.quotients))
+            # [..., r, 1] and [..., r + 1] are the same rational; fold to the latter
+            q = self.quotients
+            if len(q) >= 2 and q[-1] == 1:
+                object.__setattr__(self, "quotients", q[:-2] + (q[-2] + 1,))
 
     # -- basic structure ---------------------------------------------------
 

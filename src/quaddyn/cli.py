@@ -121,11 +121,9 @@ def _parse_range(text: str) -> list[int]:
 def _cf_from_args(args: argparse.Namespace):
     from .cfrac import cf_expand, parse_cf_text
 
-    if getattr(args, "cf", None):
+    if getattr(args, "value", None) is None:
         return parse_cf_text(args.cf)
-    if getattr(args, "value", None):
-        return cf_expand(_parse_fraction(args.value))
-    raise InvariantError("need --cf or --value")
+    return cf_expand(_parse_fraction(args.value))
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -134,9 +132,7 @@ def _cf_from_args(args: argparse.Namespace):
 def _run_angle(args, writer: ArtifactWriter) -> dict:
     from .angles import Angle, double
 
-    if args.cf and args.value:
-        raise ValueError("pass either --cf or --value, not both")
-    if args.cf:
+    if args.cf is not None:
         from .cardioid import external_angle
         from .cfrac import parse_cf_text
 
@@ -152,8 +148,8 @@ def _run_angle(args, writer: ArtifactWriter) -> dict:
             doc["exact_pair"] = [str(a) for a in result.exact_pair]
         writer.write_json("angle.json", doc)
         return doc
-    if not args.value:
-        raise ValueError("angle needs --cf or --value")
+    if args.steps < 0:
+        raise InvariantError(f"--steps must be >= 0, got {args.steps}")
     a = Angle.parse(args.value)
     orbit = [a]
     for _ in range(args.steps):
@@ -476,6 +472,20 @@ _HANDLERS = {
 }
 
 
+def _add_cf_or_value(p: argparse.ArgumentParser) -> None:
+    """Exactly one of --cf and --value; both or neither is a usage error."""
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--cf", help="continued fraction, e.g. 1,1,1:rep=1")
+    group.add_argument("--value", help="exact fraction, e.g. 3/7")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's usage errors, so main reports each as one JSON object."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory for artifacts")
@@ -489,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the result JSON to stdout"
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quaddyn",
         description="Exact and numerical tools for quadratic dynamics.",
     )
@@ -502,8 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="doubling orbit of an exact angle, or the external angle of a "
         "continued-fraction rotation number",
     )
-    p.add_argument("--value", help="exact angle as a fraction, e.g. 3/7")
-    p.add_argument("--cf", help="rotation number, e.g. 1,1,1:rep=1")
+    _add_cf_or_value(p)
     p.add_argument("--steps", type=int, default=8)
 
     p = sub.add_parser("orbit", parents=[common], help="rotation cycle for p/q")
@@ -515,18 +524,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pq", required=True)
 
     p = sub.add_parser("cantor", parents=[common], help="rotation-set cover arcs")
-    p.add_argument("--cf", help="angle as continued fraction, e.g. 1:rep=1")
-    p.add_argument("--value", help="rational angle as a fraction")
+    _add_cf_or_value(p)
     p.add_argument("--depth", type=int, default=8)
 
     p = sub.add_parser("brjuno", parents=[common], help="Brjuno partial sums")
-    p.add_argument("--cf", help="continued fraction literal")
-    p.add_argument("--value", help="rational value (finite expansion)")
+    _add_cf_or_value(p)
     p.add_argument("--terms", type=int, default=50)
 
     p = sub.add_parser("cf", parents=[common], help="expansion and convergents")
-    p.add_argument("--cf", help="continued fraction literal")
-    p.add_argument("--value", help="rational value to expand")
+    _add_cf_or_value(p)
     p.add_argument("--count", type=int, default=12)
 
     p = sub.add_parser("radius", parents=[common], help="conformal radius estimate")
@@ -612,12 +618,11 @@ def _main(argv: "list[str] | None") -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_glue_negative_values(list(argv)))
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        if code not in (0, None):
-            _emit_error("UsageError", "unrecognized or malformed arguments")
-            return 2
+    except SystemExit:  # --help and --version
         return 0
+    except ValueError as exc:
+        _emit_error("UsageError", str(exc))
+        return 2
 
     params = {
         k: v

@@ -71,13 +71,9 @@ class PixelGrid:
     extent: float
     cells: np.ndarray
 
-    @property
-    def cell_side(self) -> float:
-        return 2.0 ** (-self.resolution_exponent)
-
     def centers(self) -> np.ndarray:
         side = self.cells.shape[0]
-        h = self.cell_side
+        h = 2.0 ** (-self.resolution_exponent)
         xs = self.origin.real + (np.arange(side) + 0.5) * h
         ys = self.origin.imag + (np.arange(side) + 0.5) * h
         return xs[None, :] + 1j * ys[:, None]
@@ -106,8 +102,10 @@ def render_julia(
     """
     if n < 1 or n > 14:
         raise InvariantError("resolution exponent must be in 1..14")
-    if not (cmath.isfinite(c) and 1 <= safety < math.inf):
-        raise InvariantError("need a finite c and a finite safety factor >= 1")
+    if not (cmath.isfinite(c) and max_iter >= 1 and 1 <= safety < math.inf):
+        raise InvariantError(
+            "need a finite c, max_iter >= 1 and a finite safety factor >= 1"
+        )
     h = 2.0**-n
     half_width = 2.5
     side = int(round(2 * half_width / h))
@@ -186,7 +184,6 @@ class RayTrace:
     the period in map iterations, and 1/q can have period up to q - 1.
     """
 
-    angle: Fraction | float
     points: tuple[complex, ...]
     potentials: tuple[float, ...]
     landing_estimate: complex = 0j
@@ -247,12 +244,12 @@ def trace_ray(
     before giving up.
     Meaningful for connected Julia sets; disconnectedness is not detected.
     """
-    if t_min <= 0:
-        raise InvariantError("t_min must be positive")
     alpha = angle.fraction if isinstance(angle, Angle) else angle
     t0 = math.log(1e4)
-    if t0 <= t_min:
-        raise InvariantError("start potential must exceed t_min")
+    if not (0 < t_min < t0 and cmath.isfinite(c)):
+        raise InvariantError(
+            "need a finite c and 0 < t_min below the start potential log 1e4"
+        )
 
     def point_at(t: float, seed: complex | None) -> complex:
         m = max(0, math.ceil(math.log2(t0 / t) - 1e-12))
@@ -293,7 +290,6 @@ def trace_ray(
             if refined is not None:
                 landing = refined
     return RayTrace(
-        angle=alpha,
         points=tuple(points),
         potentials=tuple(potentials),
         landing_estimate=landing,
@@ -383,7 +379,6 @@ class LavrentievResult:
     crosscut_diam: float
     image_diam: float
     bound: float
-    distance: float
     holds: bool
     margin: float
 
@@ -439,7 +434,6 @@ def lavrentiev_check(
         crosscut_diam=diam,
         image_diam=image_diam,
         bound=bound,
-        distance=distance,
         holds=image_diam <= bound,
         margin=bound - image_diam,
     )

@@ -307,7 +307,6 @@ class RadiusEstimate:
     r_hat: mpf
     half_order: mpf
     reliable: bool
-    window: tuple[int, int]
 
 
 def _log2_abs(z: mpc) -> float:
@@ -357,9 +356,7 @@ def conformal_radius_estimate(series: LinearizationSeries) -> RadiusEstimate:
         full = _root_test(series.coeffs, n // 2, n)
         half = _root_test(series.coeffs, n // 4, n // 2)
         agree = abs(full - half) <= mpf("0.25") * full
-    return RadiusEstimate(
-        r_hat=full, half_order=half, reliable=bool(agree), window=(n // 2, n)
-    )
+    return RadiusEstimate(r_hat=full, half_order=half, reliable=bool(agree))
 
 
 @dataclass(frozen=True)
@@ -404,11 +401,11 @@ def inner_radius_probe(
 
 
 def functional_residual(
-    series: LinearizationSeries, r_hat: mpf, factor: float = 0.5, samples: int = 64
+    series: LinearizationSeries, r_hat: mpf, samples: int = 64
 ) -> mpf:
     """Max |phi(lam w) - lam phi(w) - phi(w)^2| over a sampled circle.
 
-    Sampling happens on |w| = factor * r_hat, well inside the estimated
+    Sampling happens on |w| = r_hat / 2, well inside the estimated
     convergence disk so the truncated series is trustworthy there.  phi(w)
     and phi(lam w) at all S samples come from two exact-integer DFTs, of c_n
     and of c_n lam^n with lam^n stepped in fixed point.  That resolves
@@ -417,11 +414,11 @@ def functional_residual(
     """
     if samples < 1:
         raise InvariantError("need at least 1 sample")
-    if not (0 < factor < inf and 0 < r_hat < inf):
+    if not 0 < r_hat < inf:
         raise InvariantError("need a positive finite radius")
     frac = series.prec + _GUARD_BITS
     with mp.workprec(series.prec):
-        radius = mpf(factor) * mpf(r_hat)
+        radius = mpf(r_hat) / 2
         re, im = _scaled_fixed(series, radius, frac)
         lr, li = _to_fixed(series.lam, frac)
         rot_r, rot_i = [], []

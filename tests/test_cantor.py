@@ -55,9 +55,11 @@ def _arc_distance(x, arcs):
 
 
 def test_arc_is_an_antipodal_half_circle():
+    # the outer arc runs from the low bracket to its half-turn shift
     arc = build_arc(GOLDEN, prec=32)
-    assert (arc.high.lo - arc.low.lo) % 1 == Fraction(1, 2)
-    assert arc.high.width == arc.low.width
+    outer = arc.outer_arc()
+    assert outer.lo == arc.low.lo
+    assert outer.width == Fraction(1, 2) + arc.low.width
 
 
 def test_arc_contains_alpha_bracket():
@@ -72,7 +74,8 @@ def test_arc_bracket_width_at_prec_20():
 
 def test_arc_endpoints_double_to_the_same_point():
     arc = build_arc(GOLDEN, prec=40)
-    assert (2 * arc.low.lo) % 1 == (2 * arc.high.lo) % 1
+    high_lo = arc.outer_arc().hi - arc.low.width
+    assert (2 * arc.low.lo) % 1 == (2 * high_lo) % 1
     doubled = (2 * arc.low.lo) % 1
     slack = 4 * arc.low.width
     assert arc.alpha.lo - slack <= doubled <= arc.alpha.hi + slack
@@ -139,6 +142,49 @@ def test_cover_arcs_disjoint_and_sorted():
     for a, b in zip(cov.arcs, cov.arcs[1:]):
         assert a.hi < b.lo
     assert cov.arcs[-1].hi - cov.arcs[0].lo < 1
+
+
+def _merging_cover_oracle(cf, depth, prec):
+    """Arcs of the refinement loop that also merges overlapping arcs and the
+    arcs meeting across 0; cover leaves both merges out, as they cannot fire."""
+    base = build_arc(cf, prec).outer_arc()
+    arcs = [base]
+    for _ in range(depth):
+        refined = []
+        for piece in arcs:
+            for half in piece.halved():
+                got = half.intersect(base)
+                if got is not None:
+                    refined.append(got)
+        refined.sort(key=lambda a: a.lo)
+        merged = []
+        for piece in refined:
+            if merged and piece.lo <= merged[-1].hi:
+                merged[-1] = CircleInterval(merged[-1].lo, max(merged[-1].hi, piece.hi))
+            else:
+                merged.append(piece)
+        if len(merged) > 1 and merged[-1].hi - 1 >= merged[0].lo:
+            last, first = merged[-1], merged[0]
+            merged = [CircleInterval(last.lo, max(last.hi, first.hi + 1))] + merged[1:-1]
+        arcs = [a for a in merged if a.width > 0]
+    return tuple(arcs)
+
+
+def test_cover_matches_merging_oracle():
+    rng = random.Random(2014)
+    angles = [GOLDEN, SILVER]
+    for _ in range(5):
+        pre = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 4)))
+        per = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
+        angles.append(CFExpansion(pre, per))
+    for cf in angles:
+        for depth in range(15):
+            for prec in (8, 12, 2 * depth + 24, 80):
+                arcs = cover(cf, depth, prec).arcs
+                assert arcs == _merging_cover_oracle(cf, depth, prec), (cf, depth, prec)
+                # sorted and pairwise disjoint, also across 0
+                assert all(a.hi < b.lo for a, b in zip(arcs, arcs[1:]))
+                assert len(arcs) == 1 or arcs[-1].hi - 1 < arcs[0].lo
 
 
 def test_cover_total_length_decreases():

@@ -47,15 +47,22 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert _run(capsys, ["no-such-verb"])[0] == 2
     assert _run(capsys, [])[0] == 2
     assert _run(capsys, ["orbit", "--pq", "seven"])[0] == 2
-    # a zero denominator or a missing --distance is a usage error with one
-    # JSON object on stderr, not a traceback
-    for argv in (
+    # a zero denominator, a missing --distance, or not exactly one of --cf
+    # and --value is a usage error with one JSON object on stderr, not a
+    # traceback or argparse's usage text
+    one_of = []
+    for command in ("angle", "cantor", "brjuno", "cf"):
+        one_of.append([command])
+        one_of.append([command, "--cf", "1:rep=1", "--value", "1/3"])
+    for argv in [
         ["ray", "--c", "0", "--angle", "1/0"],
         ["cf", "--value", "1/0"],
         ["brjuno", "--value", "1/0"],
         ["cantor", "--value", "1/0"],
         ["lavrentiev", "--endpoints", "1.0,1.001"],
-    ):
+        ["cantor", "--cf", "1:rep=1", "--depth", "eight"],
+        *one_of,
+    ]:
         code, _, err = _run(capsys, argv + ["--out", str(tmp_path)])
         assert code == 2
         assert json.loads(err)["error"] == "UsageError"
@@ -274,9 +281,27 @@ def test_non_positive_env_precision_exits_4(tmp_path, capsys, monkeypatch, env):
         ["lavrentiev", "--endpoints", "1.0,inf", "--distance", "0.01"],
         ["julia", "--c", "nan", "--res", "3"],
         ["julia", "--c", "inf,0", "--res", "3"],
+        ["ray", "--c", "0", "--angle", "1/3", "--tmin", "nan"],
+        ["ray", "--c", "nan", "--angle", "1/3"],
+        ["ray", "--c", "0,inf", "--angle", "1/3"],
     ],
 )
 def test_non_finite_inputs_exit_4(tmp_path, capsys, argv):
+    code, out, err = _run(capsys, argv + ["--out", str(tmp_path), "--json"])
+    assert code == 4
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "InvariantError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["julia", "--c", "0", "--res", "4", "--max-iter", "0"],
+        ["julia", "--c", "0", "--res", "4", "--max-iter", "-5"],
+        ["angle", "--value", "1/3", "--steps", "-1"],
+    ],
+)
+def test_counts_below_minimum_exit_4(tmp_path, capsys, argv):
     code, out, err = _run(capsys, argv + ["--out", str(tmp_path), "--json"])
     assert code == 4
     assert out == ""

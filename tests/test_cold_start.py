@@ -1,4 +1,5 @@
-"""Loading quaddyn must not load scipy.
+"""Fresh-interpreter runs: loading quaddyn must not load scipy, and
+`python -m quaddyn` must reach the CLI.
 
 Every CLI invocation is a fresh interpreter, and scipy.spatial is most of
 its import time; only hausdorff_distance needs it.  The check runs in a
@@ -54,3 +55,15 @@ def test_scipy_loads_only_with_hausdorff_distance(tmp_path):
     assert not after_julia
     assert distance == 5.0
     assert after_call
+
+
+def test_module_entry_point(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "quaddyn", "landing-pair", "--pq", "3/5", "--json",
+         "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"alpha_minus": "21/31", "alpha_plus": "22/31"}
+    assert (tmp_path / "landing-pair.json").exists()

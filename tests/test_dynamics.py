@@ -35,6 +35,13 @@ def test_render_rejects_bad_resolution():
         render_julia(0j, 15)
 
 
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_render_needs_an_iteration(max_iter):
+    # no iteration leaves every cell borderline, a grid that says nothing
+    with pytest.raises(InvariantError):
+        render_julia(0j, 3, max_iter=max_iter)
+
+
 def test_render_circle_oracle():
     grid = render_julia(0j, 6, max_iter=96)
     near = grid.near_points()
@@ -252,6 +259,11 @@ def test_non_finite_inputs_rejected(bad):
             render_julia(c, 3)
     with pytest.raises(InvariantError):
         render_julia(0j, 3, safety=bad)
+    for c in (complex(bad, 0), complex(0, bad)):
+        with pytest.raises(InvariantError):
+            trace_ray(c, Fraction(1, 3))
+    with pytest.raises(InvariantError):
+        trace_ray(0j, Fraction(1, 3), t_min=bad)
 
 
 def test_lavrentiev_monte_carlo_deterministic_and_clean():
