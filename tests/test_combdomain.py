@@ -1,8 +1,13 @@
 """Carved-square domain: sequence parsing, boundary polylines, crosscut
-chains, impressions, and exact point location."""
+chains, impressions, and exact point location, checked against a
+rectangle-by-rectangle oracle."""
 
+import math
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quaddyn.combdomain import (
@@ -10,6 +15,7 @@ from quaddyn.combdomain import (
     OmegaDomain,
     PointLocation,
     SequenceDirection,
+    _runs,
     build_gamma_n,
     chain_midpoint,
     crosscut_chain,
@@ -17,13 +23,75 @@ from quaddyn.combdomain import (
     impression_segments,
     in_domain,
     parse_sequence_expr,
-    rectangles,
     sample_polyline,
     toy_sequences,
 )
+from quaddyn.dynamics import BORDERLINE, FAR, NEAR
 from quaddyn.errors import InvariantError
+from quaddyn.imaging import classification_image, domain_image
 
 F = Fraction
+INSIDE, OUTSIDE, UNDECIDED = PointLocation.INSIDE, PointLocation.OUTSIDE, PointLocation.UNDECIDED
+EPS = F(1, 10**9)
+
+
+@dataclass(frozen=True)
+class _Rect:
+    """Axis-parallel rectangle with per-side closedness flags."""
+
+    x_lo: Fraction
+    x_hi: Fraction
+    y_lo: Fraction
+    y_hi: Fraction
+    left_closed: bool = True
+    right_closed: bool = True
+    bottom_closed: bool = True
+
+    def contains(self, x: Fraction, y: Fraction) -> bool:
+        return (
+            (self.x_lo <= x if self.left_closed else self.x_lo < x)
+            and (x <= self.x_hi if self.right_closed else x < self.x_hi)
+            and (self.y_lo <= y if self.bottom_closed else self.y_lo < y)
+            and y <= self.y_hi
+        )
+
+
+def _oracle_in_domain(dom, depth, point):
+    """Point location by the slab S_k and its slats L_k, R_k as rectangles.
+
+    S_k is open on the sides and the bottom, closed on top, so adjacent
+    slabs tile without overlap; the slats are closed.
+    """
+    if depth < 1:
+        raise InvariantError("depth starts at 1")
+    x, y = Fraction(point[0]), Fraction(point[1])
+    if abs(x) > 1 or abs(y) > 1:
+        return INSIDE
+    if y <= 0:
+        return OUTSIDE
+    if y <= F(1, 3**depth):
+        return UNDECIDED
+    k = 1
+    while F(1, 3**k) >= y:
+        k += 1
+    a_k, b_k, unit = dom.a(k), dom.b(k), F(1, 3 ** (k + 1))
+    slab = _Rect(-b_k, b_k, 3 * unit, 9 * unit, False, False, False)
+    left_slat = _Rect(-b_k, a_k, 8 * unit, 9 * unit)
+    right_slat = _Rect(-a_k, b_k, 5 * unit, 6 * unit)
+    if not slab.contains(x, y) or left_slat.contains(x, y) or right_slat.contains(x, y):
+        return OUTSIDE
+    return INSIDE
+
+
+def _oracle_image(dom, depth, res):
+    """domain_image pixel by pixel through the oracle."""
+    codes = {INSIDE: FAR, OUTSIDE: NEAR, UNDECIDED: BORDERLINE}
+    centers = [F(12, 5) * F(2 * i + 1, 2 * res) - F(6, 5) for i in range(res)]
+    cells = np.array(
+        [[codes[_oracle_in_domain(dom, depth, (x, y))] for x in centers] for y in centers],
+        dtype=np.int8,
+    )
+    return classification_image(cells)
 
 
 def _toy_domain():
@@ -98,27 +166,55 @@ def test_domain_cross_violation_surfaces_on_query():
     a_seq = parse_sequence_expr("1/2", direction=SequenceDirection.INCREASING)
     b_seq = parse_sequence_expr("1/3", direction=SequenceDirection.DECREASING)
     dom = OmegaDomain(a_seq, b_seq)
-    with pytest.raises(InvariantError):
-        rectangles(dom, 1)
+    # points outside the square and below slab 1 read no term
+    assert in_domain(dom, 1, (F(0), F(2))) is INSIDE
+    assert in_domain(dom, 1, (F(0), F(1, 3))) is UNDECIDED
+    with pytest.raises(InvariantError, match="need 0 <= a_1 < b_1 < 1"):
+        in_domain(dom, 1, (F(0), F(1, 2)))
 
 
 def test_rectangles_reference_geometry():
-    slab, left, right = rectangles(_const_domain(), 1)
-    assert (slab.x_lo, slab.x_hi) == (F(-2, 5), F(2, 5))
-    assert (slab.y_lo, slab.y_hi) == (F(1, 3), F(1))
-    assert not slab.left_closed and not slab.bottom_closed and slab.top_closed
-    assert (left.x_lo, left.x_hi, left.y_lo, left.y_hi) == (F(-2, 5), F(1, 4), F(8, 9), F(1))
-    assert (right.x_lo, right.x_hi, right.y_lo, right.y_hi) == (F(-1, 4), F(2, 5), F(5, 9), F(2, 3))
-    assert left.height == right.height == F(1, 9)
+    # slab 1 of the constant domain is the strip -2/5 < x < 2/5 over
+    # 1/3 < y <= 1; its left slat is [-2/5, 1/4] x [8/9, 1], its right slat
+    # [-1/4, 2/5] x [5/9, 2/3], both of height 1/9
+    dom = _const_domain()
+    one, end = F(1), (math.inf, False, INSIDE)
+
+    def square(*runs):
+        return [(-one, False, INSIDE), *runs, end]
+
+    slab = square((F(-2, 5), True, OUTSIDE), (F(2, 5), False, INSIDE), (one, True, OUTSIDE))
+    left = square((F(1, 4), True, OUTSIDE), (F(2, 5), False, INSIDE), (one, True, OUTSIDE))
+    right = square((F(-2, 5), True, OUTSIDE), (F(-1, 4), False, INSIDE), (one, True, OUTSIDE))
+    for y in (F(1), F(17, 18), F(8, 9)):
+        assert _runs(dom, 1, y) == left
+    for y in (F(2, 3), F(11, 18), F(5, 9)):
+        assert _runs(dom, 1, y) == right
+    for y in (F(8, 9) - EPS, F(2, 3) + EPS, F(5, 9) - EPS, F(1, 3) + EPS):
+        assert _runs(dom, 1, y) == slab
+    # the slab is open at the bottom: y = 1/3 is undecided at depth 1 and
+    # lies on the closed top of slab 2 at depth 2
+    assert _runs(dom, 1, F(1, 3)) == square((one, True, UNDECIDED))
+    assert _runs(dom, 2, F(1, 3)) == left
+    assert _runs(dom, 1, F(0)) == _runs(dom, 1, F(-1)) == square((one, True, OUTSIDE))
+    assert _runs(dom, 1, F(1) + EPS) == _runs(dom, 1, F(-2)) == [end]
 
 
 def test_slats_sit_inside_the_slab():
     dom = _toy_domain()
     for n in (1, 2, 3):
-        slab, left, right = rectangles(dom, n)
-        for slat in (left, right):
-            assert slab.x_lo <= slat.x_lo < slat.x_hi <= slab.x_hi
-            assert slab.y_lo < slat.y_lo < slat.y_hi <= slab.y_hi
+        a, b, u = dom.a(n), dom.b(n), F(1, 3 ** (n + 1))
+        assert -b < -a <= a < b
+        # closed slat corners are carved; the slab keeps a gap beside each
+        # slat and above and below each
+        for x, y in ((-b, 8 * u), (a, 8 * u), (-b, 9 * u), (a, 9 * u)):
+            assert in_domain(dom, n, (x, y)) is OUTSIDE
+        for x, y in ((-a, 5 * u), (b - EPS, 5 * u), (-a, 6 * u), (b - EPS, 6 * u)):
+            assert in_domain(dom, n, (x, y)) is OUTSIDE
+        assert in_domain(dom, n, ((a + b) / 2, 9 * u)) is INSIDE
+        assert in_domain(dom, n, (-(a + b) / 2, 5 * u)) is INSIDE
+        for y in (3 * u + EPS, 5 * u - EPS, 6 * u + EPS, 8 * u - EPS):
+            assert in_domain(dom, n, (F(0), y)) is INSIDE
 
 
 GAMMA_1_CONST = (
@@ -192,13 +288,14 @@ def test_chain_incidence_exact():
     # bottom edge of the left slat, by exact comparison.
     dom = _toy_domain()
     for n in (1, 2, 3, 4):
-        _, left_slat, right_slat = rectangles(dom, n)
+        u = F(1, 3 ** (n + 1))
         chain = crosscut_chain(n)
         bottom, top = chain.start, chain.end
-        assert bottom[1] == right_slat.y_hi
-        assert right_slat.x_lo <= bottom[0] <= right_slat.x_hi
-        assert top[1] == left_slat.y_lo
-        assert left_slat.x_lo <= top[0] <= left_slat.x_hi
+        assert bottom == (0, 6 * u) and top == (0, 8 * u)
+        assert in_domain(dom, n, bottom) is OUTSIDE
+        assert in_domain(dom, n, (bottom[0], bottom[1] + EPS)) is INSIDE
+        assert in_domain(dom, n, top) is OUTSIDE
+        assert in_domain(dom, n, (top[0], top[1] - EPS)) is INSIDE
 
 
 def test_impressions_nest_monotonically():
@@ -229,6 +326,70 @@ def test_in_domain_chain_midpoints():
         mid = chain_midpoint(n)
         assert in_domain(dom, n, mid) is PointLocation.INSIDE
         assert in_domain(dom, n - 1, mid) is PointLocation.UNDECIDED
+
+
+def _seeded_domains(count):
+    """Valid domains a_k = p - m^-k, b_k = q + n^-k from a fixed seed."""
+    rng = random.Random(2014)
+    out = []
+    while len(out) < count:
+        p, q = F(rng.randint(3, 11), 24), F(rng.randint(3, 15), 24)
+        m, n = rng.randint(int(1 / p) + 1, 9), rng.randint(2, 9)
+        if p < q and q + F(1, n) < 1:
+            a_seq, b_seq = parse_sequence_expr(f"{p}-{m}^-k"), parse_sequence_expr(f"{q}+{n}^-k")
+            out.append(OmegaDomain(a_seq, b_seq))
+    return out
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [_toy_domain(), _const_domain(), *_seeded_domains(3)],
+    ids=["toy", "const", "seeded-0", "seeded-1", "seeded-2"],
+)
+def test_in_domain_matches_oracle_on_edges(dom):
+    # every corner coordinate of slabs k and k + 1 against every edge height
+    # of slab k, mirrored below the axis, at every depth that reaches slab k
+    for k in range(1, 9):
+        u = F(1, 3 ** (k + 1))
+        xs = {F(0), F(1), F(-1)}
+        for j in (k, k + 1):
+            xs |= {dom.a(j), -dom.a(j), dom.b(j), -dom.b(j)}
+        ys = [s * h * u for h in (3, 5, 6, 8, 9) for s in (1, -1)]
+        for depth in range(max(1, k - 1), 9):
+            for x in xs:
+                for y in ys:
+                    assert in_domain(dom, depth, (x, y)) is _oracle_in_domain(dom, depth, (x, y))
+
+
+@pytest.mark.parametrize(
+    "dom, depth, res",
+    [
+        # centers of res 24 and 72 hit x = +-1/4; those of res 54 hit
+        # y = 1/3, 5/9 and 1/9 and x = +-1
+        (_const_domain(), 3, 24),
+        (_const_domain(), 1, 54),
+        (_const_domain(), 4, 72),
+        (_toy_domain(), 2, 48),
+        (_toy_domain(), 8, 54),
+        *[(dom, d, 18) for dom, d in zip(_seeded_domains(3), (1, 3, 6))],
+    ],
+)
+def test_domain_image_matches_oracle_raster(dom, depth, res):
+    assert domain_image(dom, depth, res).tobytes() == _oracle_image(dom, depth, res).tobytes()
+
+
+def test_domain_image_raises_as_the_oracle_does():
+    # the slats of the last domain cross from slab 3 on
+    crossed = OmegaDomain(
+        parse_sequence_expr("1/2"), parse_sequence_expr("1/3", SequenceDirection.DECREASING)
+    )
+    late = OmegaDomain(parse_sequence_expr("1/2-2^-k"), parse_sequence_expr("1/3+9^-k"))
+    assert domain_image(late, 2, 16).tobytes() == _oracle_image(late, 2, 16).tobytes()
+    for dom, depth in ((_toy_domain(), 0), (crossed, 1), (late, 3)):
+        with pytest.raises(InvariantError) as want:
+            _oracle_image(dom, depth, 16)
+        with pytest.raises(InvariantError, match=f"^{want.value}$"):
+            domain_image(dom, depth, 16)
 
 
 def test_sample_polyline_square():

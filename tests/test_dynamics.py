@@ -10,6 +10,7 @@ import pytest
 
 from quaddyn.dynamics import (
     BORDERLINE,
+    _doubled_angle,
     cardioid_parameter,
     hausdorff_distance,
     lavrentiev_check,
@@ -152,6 +153,19 @@ def test_trace_ray_lift_relation_doubled_angle():
     _check_lift(src, dst, c, 8)
 
 
+def test_doubled_angle_reduces_before_scaling():
+    # reducing mod 1 first is exact, so it matches doubling the whole angle
+    # wherever that does not overflow
+    rng = random.Random(2014)
+    for _ in range(2000):
+        angle = rng.choice((1, -1)) * rng.random() * 10.0 ** rng.randint(-3, 200)
+        m = rng.randint(0, 60)
+        whole = math.fmod(angle * 2.0**m, 1.0)
+        assert _doubled_angle(angle, m) == whole
+        assert math.copysign(1, _doubled_angle(angle, m)) == math.copysign(1, whole)
+    assert _doubled_angle(1e308, 60) == 0.0
+
+
 def test_ray_landing_on_real_slit():
     tip = trace_ray(-2 + 0j, Fraction(0), t_min=1e-6)
     assert abs(tip.points[-1] - 2) < 1e-3
@@ -264,6 +278,8 @@ def test_non_finite_inputs_rejected(bad):
             trace_ray(c, Fraction(1, 3))
     with pytest.raises(InvariantError):
         trace_ray(0j, Fraction(1, 3), t_min=bad)
+    with pytest.raises(InvariantError):
+        trace_ray(0j, bad)
 
 
 def test_lavrentiev_monte_carlo_deterministic_and_clean():

@@ -8,6 +8,7 @@ from quaddyn.combdomain import OmegaDomain, toy_sequences
 from quaddyn.dynamics import BORDERLINE, FAR, NEAR
 from quaddyn.errors import InvariantError
 from quaddyn.imaging import (
+    MAX_DOMAIN_RES,
     classification_image,
     cover_strip_image,
     domain_image,
@@ -50,3 +51,9 @@ def test_domain_image_deterministic():
     b = domain_image(dom, 2, resolution=48)
     assert a.shape == (48, 48, 3)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("res", [15, MAX_DOMAIN_RES + 1, 200000])
+def test_domain_image_resolution_bounds(res):
+    with pytest.raises(InvariantError, match="resolution must lie in 16.."):
+        domain_image(OmegaDomain(*toy_sequences()), 2, resolution=res)
