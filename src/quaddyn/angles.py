@@ -29,15 +29,6 @@ class Angle:
     def __init__(self, numerator, denominator=1):
         self._frac = Fraction(numerator, denominator) % 1
 
-    @classmethod
-    def parse(cls, text: str) -> "Angle":
-        """Parse "num/den" or an exact decimal string such as "0.375"."""
-        try:
-            frac = Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvariantError(f"not a valid angle literal: {text!r}") from exc
-        return cls(frac)
-
     @property
     def fraction(self) -> Fraction:
         return self._frac

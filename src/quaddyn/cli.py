@@ -5,7 +5,7 @@ tables, P6 pixmaps for images) into the output directory together with a
 run manifest listing each artifact and its SHA-256 digest.  Outputs are
 deterministic for fixed parameters.  Exit codes: 0 success, 2 usage,
 3 precision exhaustion, 4 invariant violation; failures also print a
-machine-readable JSON object on stderr.
+machine-readable JSON object on stderr and write nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,32 +22,6 @@ from . import __version__
 from .errors import InvariantError, PrecisionError
 
 PREC_ENV = "QUADDYN_PREC"
-
-
-@dataclass
-class ArtifactWriter:
-    """Collects written files and their digests for the manifest."""
-
-    out_dir: Path
-    records: list[dict] = field(default_factory=list)
-
-    def write(self, name: str, data: "bytes | str") -> Path:
-        if isinstance(data, str):
-            data = data.encode()
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / name
-        path.write_bytes(data)
-        self.records.append(
-            {
-                "name": name,
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "bytes": len(data),
-            }
-        )
-        return path
-
-    def write_json(self, name: str, document: dict) -> Path:
-        return self.write(name, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 # working precision of the commands that have one when neither --prec nor
@@ -127,9 +100,12 @@ def _cf_from_args(args: argparse.Namespace):
 
 
 # -- subcommand handlers -----------------------------------------------------
+#
+# Each handler returns its artifacts by file name, in write order: a dict is
+# a JSON document (the one --json prints), a str is text, bytes a pixmap.
 
 
-def _run_angle(args, writer: ArtifactWriter) -> dict:
+def _run_angle(args) -> dict:
     from .angles import Angle, double
 
     if args.cf is not None:
@@ -146,11 +122,10 @@ def _run_angle(args, writer: ArtifactWriter) -> dict:
         }
         if exact:
             doc["exact_pair"] = [str(a) for a in result.exact_pair]
-        writer.write_json("angle.json", doc)
-        return doc
+        return {"angle.json": doc}
     if args.steps < 0:
         raise InvariantError(f"--steps must be >= 0, got {args.steps}")
-    a = Angle.parse(args.value)
+    a = Angle(_parse_fraction(args.value))
     orbit = [a]
     for _ in range(args.steps):
         orbit.append(double(orbit[-1]))
@@ -160,11 +135,10 @@ def _run_angle(args, writer: ArtifactWriter) -> dict:
         "purely_periodic": periodic,
         "doubling_orbit": [str(x) for x in orbit],
     }
-    writer.write_json("angle.json", doc)
-    return doc
+    return {"angle.json": doc}
 
 
-def _run_orbit(args, writer: ArtifactWriter) -> dict:
+def _run_orbit(args) -> dict:
     from .cardioid import find_orbit
 
     p, q = _parse_pq(args.pq)
@@ -174,21 +148,19 @@ def _run_orbit(args, writer: ArtifactWriter) -> dict:
         "period": orbit.period,
         "angles": [str(a) for a in orbit.angles],
     }
-    writer.write_json("orbit.json", doc)
-    return doc
+    return {"orbit.json": doc}
 
 
-def _run_landing_pair(args, writer: ArtifactWriter) -> dict:
+def _run_landing_pair(args) -> dict:
     from .cardioid import landing_pair
 
     p, q = _parse_pq(args.pq)
     lo, hi = landing_pair(p, q)
     doc = {"alpha_minus": str(lo), "alpha_plus": str(hi)}
-    writer.write_json("landing-pair.json", doc)
-    return doc
+    return {"landing-pair.json": doc}
 
 
-def _run_cantor(args, writer: ArtifactWriter) -> dict:
+def _run_cantor(args) -> dict:
     from .cantor import cover
     from .imaging import cover_strip_image, ppm_bytes
 
@@ -201,12 +173,13 @@ def _run_cantor(args, writer: ArtifactWriter) -> dict:
         "hausdorff_bound": str(result.hausdorff_bound),
         "arcs": [{"lo": str(a.lo), "hi": str(a.hi)} for a in result.arcs],
     }
-    writer.write_json("cantor-cover.json", doc)
-    writer.write("cantor-cover.ppm", ppm_bytes(cover_strip_image(result.arcs)))
-    return doc
+    return {
+        "cantor-cover.json": doc,
+        "cantor-cover.ppm": ppm_bytes(cover_strip_image(result.arcs)),
+    }
 
 
-def _run_brjuno(args, writer: ArtifactWriter) -> dict:
+def _run_brjuno(args) -> dict:
     from .cfrac import brjuno_partial_sums
 
     cf = _cf_from_args(args)
@@ -217,11 +190,10 @@ def _run_brjuno(args, writer: ArtifactWriter) -> dict:
         "value": float(sums[-1]),
         "nondecreasing": all(b >= a for a, b in zip(sums, sums[1:])),
     }
-    writer.write_json("brjuno.json", doc)
-    return doc
+    return {"brjuno.json": doc}
 
 
-def _run_cf(args, writer: ArtifactWriter) -> dict:
+def _run_cf(args) -> dict:
     from .cfrac import convergents
 
     cf = _cf_from_args(args)
@@ -240,11 +212,10 @@ def _run_cf(args, writer: ArtifactWriter) -> dict:
         "bracket_prec_bits": args.prec,
         "bracket": [str(lo), str(hi)],
     }
-    writer.write_json("cf.json", doc)
-    return doc
+    return {"cf.json": doc}
 
 
-def _run_radius(args, writer: ArtifactWriter) -> dict:
+def _run_radius(args) -> dict:
     from .linearize import (
         conformal_radius_estimate,
         inner_radius_probe,
@@ -268,11 +239,10 @@ def _run_radius(args, writer: ArtifactWriter) -> dict:
             0.99 * float(est.r_hat) / 4 <= float(probe.value) <= 1.01 * float(est.r_hat)
         ),
     }
-    writer.write_json("radius.json", doc)
-    return doc
+    return {"radius.json": doc}
 
 
-def _run_ratio_experiment(args, writer: ArtifactWriter) -> dict:
+def _run_ratio_experiment(args) -> dict:
     from .linearize import radius_ratio_experiment
 
     prefix = tuple(int(s) for s in args.prefix.split(",") if s.strip())
@@ -285,7 +255,6 @@ def _run_ratio_experiment(args, writer: ArtifactWriter) -> dict:
         lines.append(
             f"{row.n},{float(row.scaled)!r},{float(row.deviation)!r},{row.reliable}"
         )
-    writer.write("ratio-experiment.csv", "\n".join(lines) + "\n")
     doc = {
         "base_r_hat": float(exp.base_r_hat),
         "amplitude": args.amplitude,
@@ -293,17 +262,18 @@ def _run_ratio_experiment(args, writer: ArtifactWriter) -> dict:
         "trend_ok": exp.trend_ok,
         "reliable": exp.reliable,
     }
-    writer.write_json("ratio-experiment.json", doc)
-    return doc
+    return {
+        "ratio-experiment.csv": "\n".join(lines) + "\n",
+        "ratio-experiment.json": doc,
+    }
 
 
-def _run_julia(args, writer: ArtifactWriter) -> dict:
+def _run_julia(args) -> dict:
     from .dynamics import render_julia
     from .imaging import classification_image, ppm_bytes
 
     c = _parse_complex(args.c)
     grid = render_julia(c, args.res, max_iter=args.max_iter, safety=args.safety)
-    writer.write("julia.ppm", ppm_bytes(classification_image(grid.cells)))
     doc = {
         "c": [c.real, c.imag],
         "resolution_exponent": grid.resolution_exponent,
@@ -315,11 +285,10 @@ def _run_julia(args, writer: ArtifactWriter) -> dict:
         "max_iter": args.max_iter,
         "counts": grid.counts(),
     }
-    writer.write_json("julia.json", doc)
-    return doc
+    return {"julia.ppm": ppm_bytes(classification_image(grid.cells)), "julia.json": doc}
 
 
-def _run_ray(args, writer: ArtifactWriter) -> dict:
+def _run_ray(args) -> dict:
     from .dynamics import trace_ray
 
     c = _parse_complex(args.c)
@@ -328,7 +297,6 @@ def _run_ray(args, writer: ArtifactWriter) -> dict:
     lines = ["t,re,im"]
     for t, z in zip(ray.potentials, ray.points):
         lines.append(f"{t!r},{z.real!r},{z.imag!r}")
-    writer.write("ray.csv", "\n".join(lines) + "\n")
     doc = {
         "c": [c.real, c.imag],
         "angle": str(angle),
@@ -337,8 +305,7 @@ def _run_ray(args, writer: ArtifactWriter) -> dict:
         "terminus": [ray.points[-1].real, ray.points[-1].imag],
         "landing_estimate": [ray.landing_estimate.real, ray.landing_estimate.imag],
     }
-    writer.write_json("ray.json", doc)
-    return doc
+    return {"ray.csv": "\n".join(lines) + "\n", "ray.json": doc}
 
 
 def _sequence_from_arg(text: str, slot: str):
@@ -353,7 +320,7 @@ def _sequence_from_arg(text: str, slot: str):
     return parse_sequence_expr(text, direction)
 
 
-def _run_omega(args, writer: ArtifactWriter) -> dict:
+def _run_omega(args) -> dict:
     from .combdomain import (
         OmegaDomain,
         build_gamma_n,
@@ -391,14 +358,13 @@ def _run_omega(args, writer: ArtifactWriter) -> dict:
         "impression_inner": [str(inner.start[0]), str(inner.end[0])],
         "impression_outer": [str(outer.start[0]), str(outer.end[0])],
     }
-    writer.write_json("omega.json", doc)
-    writer.write(
-        "omega.ppm", ppm_bytes(domain_image(dom, args.depth, resolution=args.res))
-    )
-    return doc
+    return {
+        "omega.json": doc,
+        "omega.ppm": ppm_bytes(domain_image(dom, args.depth, resolution=args.res)),
+    }
 
 
-def _run_lavrentiev(args, writer: ArtifactWriter) -> dict:
+def _run_lavrentiev(args) -> dict:
     from .dynamics import lavrentiev_check, lavrentiev_monte_carlo
 
     if args.endpoints:
@@ -426,11 +392,10 @@ def _run_lavrentiev(args, writer: ArtifactWriter) -> dict:
             "violations": len(violations),
             "worst_ratio": max(r.image_diam / r.bound for r in results),
         }
-    writer.write_json("lavrentiev.json", doc)
-    return doc
+    return {"lavrentiev.json": doc}
 
 
-def _run_accept(args, writer: ArtifactWriter) -> dict:
+def _run_accept(args) -> dict:
     from .acceptance import run_all
 
     results = run_all()
@@ -451,8 +416,7 @@ def _run_accept(args, writer: ArtifactWriter) -> dict:
             for r in results
         ],
     }
-    writer.write_json("accept.json", doc)
-    return doc
+    return {"accept.json": doc}
 
 
 _HANDLERS = {
@@ -629,12 +593,10 @@ def _main(argv: "list[str] | None") -> int:
         for k, v in sorted(vars(args).items())
         if k not in {"command", "json"} and v is not None
     }
-    params["out"] = str(params.get("out", "."))
-    writer = ArtifactWriter(Path(args.out))
     try:
         # parameters keep --prec as given; handlers see the effective value
         args.prec = _resolve_prec(args)
-        doc = _HANDLERS[args.command](args, writer)
+        artifacts = _HANDLERS[args.command](args)
     except InvariantError as exc:
         _emit_error("InvariantError", str(exc))
         return 4
@@ -645,23 +607,35 @@ def _main(argv: "list[str] | None") -> int:
         _emit_error("UsageError", str(exc))
         return 2
 
+    # nothing touches --out until the handler has returned
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    records = []
+    for name, content in artifacts.items():
+        if isinstance(content, dict):
+            doc = content
+            content = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        if isinstance(content, str):
+            content = content.encode()
+        (out_dir / name).write_bytes(content)
+        digest = hashlib.sha256(content).hexdigest()
+        records.append({"name": name, "sha256": digest, "bytes": len(content)})
     manifest = {
         "command": args.command,
         "version": __version__,
         "precision_bits": args.prec,
         "parameters": params,
-        "artifacts": writer.records,
+        "artifacts": records,
     }
-    writer.out_dir.mkdir(parents=True, exist_ok=True)
-    (writer.out_dir / f"{args.command}-manifest.json").write_text(
+    (out_dir / f"{args.command}-manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
 
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        names = ", ".join(rec["name"] for rec in writer.records)
-        print(f"{args.command}: wrote {names} in {writer.out_dir}")
+        names = ", ".join(rec["name"] for rec in records)
+        print(f"{args.command}: wrote {names} in {out_dir}")
 
     if args.command == "accept" and not doc["passed"]:
         return 1

@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from quaddyn.angles import (
@@ -12,26 +11,12 @@ from quaddyn.angles import (
     cyclic_sort,
     double,
 )
-from quaddyn.errors import InvariantError
 
 
 def test_normalization_wraps_into_unit_interval():
     assert Angle(7, 7) == Angle(0)
     assert Angle(-1, 3) == Angle(2, 3)
     assert Angle(Fraction(9, 4)).fraction == Fraction(1, 4)
-
-
-def test_parse_accepts_fraction_and_decimal_literals():
-    assert Angle.parse("3/7") == Angle(3, 7)
-    assert Angle.parse("0.375") == Angle(3, 8)
-    assert Angle.parse(" 5/3 ") == Angle(2, 3)
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(InvariantError):
-        Angle.parse("one third")
-    with pytest.raises(InvariantError):
-        Angle.parse("1/0")
 
 
 def test_double_and_preimages_are_inverse():

@@ -3,14 +3,17 @@ and byte-level determinism."""
 
 import hashlib
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
 from quaddyn import acceptance
 from quaddyn.acceptance import CriterionResult
 from quaddyn.cardioid import landing_pair
-from quaddyn.cli import main
+from quaddyn.cli import _HANDLERS, main
 
 
 def _run(capsys, argv):
@@ -59,6 +62,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["cf", "--value", "1/0"],
         ["brjuno", "--value", "1/0"],
         ["cantor", "--value", "1/0"],
+        ["angle", "--value", "1/0"],
+        ["angle", "--value", "one third"],
+        ["angle", "--value", "abc"],
         ["lavrentiev", "--endpoints", "1.0,1.001"],
         ["cantor", "--cf", "1:rep=1", "--depth", "eight"],
         *one_of,
@@ -158,6 +164,16 @@ def test_angle_doubling_form(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["purely_periodic"] is True
     assert doc["doubling_orbit"] == ["3/7", "6/7", "5/7", "3/7"]
+
+
+@pytest.mark.parametrize(
+    "value, angle", [("3/7", "3/7"), ("0.375", "3/8"), (" 5/3 ", "2/3")]
+)
+def test_angle_value_literals(tmp_path, capsys, value, angle):
+    argv = ["angle", "--value", value, "--steps", "0", "--out", str(tmp_path), "--json"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["doubling_orbit"] == [angle]
 
 
 def test_angle_requires_one_input_mode(tmp_path, capsys):
@@ -318,6 +334,43 @@ def test_omega_resolution_ceiling_exits_4(tmp_path, capsys, res):
     assert json.loads(err.strip())["error"] == "InvariantError"
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["orbit", "--pq", "2/5", "--no-such-flag"], 2),
+        (["orbit", "--pq", "seven"], 2),
+        (["orbit", "--pq", "4/2"], 4),
+        (["omega", "--res", "15"], 4),
+        (["omega", "--res", "200000"], 4),
+        (["julia", "--c", "0", "--res", "0"], 4),
+        (["julia", "--c", "0", "--res", "10"], 4),
+        (["julia", "--c", "0", "--res", "14"], 4),
+        (["radius", "--cf", "1:rep=1", "--order", "200", "--prec", "8"], 3),
+        (["ray", "--c", "0", "--angle", "1e400"], 4),
+    ],
+    ids=[
+        "argparse",
+        "pq-seven",
+        "pq-4/2",
+        "omega-res-15",
+        "omega-res-200000",
+        "julia-res-0",
+        "julia-res-10",
+        "julia-res-14",
+        "radius-prec-8",
+        "ray-angle-1e400",
+    ],
+)
+def test_failed_command_writes_nothing(tmp_path, capsys, argv, expected):
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, argv + ["--out", str(out_dir), "--json"])
+    assert code == expected
+    assert out == ""
+    kind = {2: "UsageError", 3: "PrecisionError", 4: "InvariantError"}[expected]
+    assert json.loads(err.strip())["error"] == kind
+    assert not out_dir.exists()
+
+
 def test_cf_document_for_rational_value(tmp_path, capsys):
     code, out, _ = _run(capsys, ["cf", "--value", "113/355", "--out", str(tmp_path), "--json"])
     assert code == 0
@@ -410,3 +463,44 @@ def test_lavrentiev_single_mode(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["holds"] is True
     assert doc["bound"] == pytest.approx(0.3, rel=1e-9)
+
+
+def _readme_examples():
+    """Each command of README's command table and Examples block but accept,
+    with the JSON document the Examples block shows for it, if any."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    examples = []
+    for command, what in re.findall(r"^\| `([\w-]+)` \|(.*)\|$", text, re.M):
+        for flags in re.findall(r"\(`(--[^`]*)`\)", what):
+            examples.append(([command, *shlex.split(flags)], None))
+    block = text.split("## Examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    for line, after in zip(lines, lines[1:] + [""]):
+        if line.startswith("quaddyn "):
+            shown = json.loads(after[2:]) if after.startswith("# {") else None
+            examples.append((shlex.split(line)[1:], shown))
+    return [
+        pytest.param(argv, shown, id=" ".join(argv))
+        for argv, shown in examples
+        if argv[0] != "accept"
+    ]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv, shown", README_EXAMPLES)
+def test_readme_examples_run(tmp_path, capsys, argv, shown):
+    if "--out" in argv:
+        at = argv.index("--out")
+        argv = argv[:at] + argv[at + 2 :]
+    code, out, err = _run(capsys, argv + ["--out", str(tmp_path)])
+    assert code == 0, err
+    if shown is not None:
+        assert json.loads(out) == shown
+
+
+def test_readme_examples_cover_every_command():
+    commands = {example.values[0][0] for example in README_EXAMPLES}
+    assert commands == set(_HANDLERS) - {"accept"}
+    assert any(example.values[1] for example in README_EXAMPLES)

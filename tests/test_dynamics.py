@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from quaddyn.dynamics import (
     BORDERLINE,
+    MAX_JULIA_RES,
     _doubled_angle,
     cardioid_parameter,
     hausdorff_distance,
@@ -30,10 +32,15 @@ def test_cardioid_parameter_rational_landmarks():
 
 
 def test_render_rejects_bad_resolution():
-    with pytest.raises(InvariantError):
-        render_julia(0j, 0)
-    with pytest.raises(InvariantError):
-        render_julia(0j, 15)
+    tracemalloc.start()
+    try:
+        for n in (0, MAX_JULIA_RES + 1, 14, 15):
+            with pytest.raises(InvariantError):
+                render_julia(0j, n)
+        # refused before either side^2 grid is allocated
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("max_iter", [0, -5])
