@@ -62,8 +62,6 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["cf", "--value", "1/0"],
         ["brjuno", "--value", "1/0"],
         ["cantor", "--value", "1/0"],
-        ["angle", "--value", "1/0"],
-        ["angle", "--value", "one third"],
         ["angle", "--value", "abc"],
         ["lavrentiev", "--endpoints", "1.0,1.001"],
         ["cantor", "--cf", "1:rep=1", "--depth", "eight"],
@@ -174,6 +172,14 @@ def test_angle_value_literals(tmp_path, capsys, value, angle):
     code, out, _ = _run(capsys, argv)
     assert code == 0
     assert json.loads(out)["doubling_orbit"] == [angle]
+
+
+def test_angle_value_rejects_garbage(tmp_path, capsys):
+    for value in ("one third", "1/0"):
+        argv = ["angle", "--value", value, "--out", str(tmp_path)]
+        code, _, err = _run(capsys, argv)
+        assert code == 2
+        assert json.loads(err)["error"] == "UsageError"
 
 
 def test_angle_requires_one_input_mode(tmp_path, capsys):
