@@ -1,9 +1,11 @@
 """Acceptance checklist: twelve self-timed checks over the whole package.
 
-Each criterion function runs one end-to-end check with its tolerances and
-time budget baked in and returns a CriterionResult; run_all executes the
-list in order.  The test suite and the command-line `accept` verb both
-drive these, so the pass/fail lines printed there come from one place.
+Each criterion function runs one end-to-end check with its tolerances baked
+in and returns (passed, detail).  ALL_CRITERIA lists each with its ident,
+title and time budget; run_criterion times one against its budget, and
+run_all runs the table in order.  The test suite and the command-line
+`accept` verb both drive these, so the pass/fail lines printed there come
+from one place.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 from mpmath import mp, mpf
@@ -66,27 +69,7 @@ class CriterionResult:
         )
 
 
-def _finish(
-    ident: str,
-    title: str,
-    started: float,
-    budget: float,
-    passed: bool,
-    detail: str,
-) -> CriterionResult:
-    elapsed = time.perf_counter() - started
-    return CriterionResult(
-        ident=ident,
-        title=title,
-        passed=passed and elapsed < budget,
-        detail=detail,
-        seconds=elapsed,
-        budget_seconds=budget,
-    )
-
-
-def criterion_exact_landing_pairs() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_exact_landing_pairs() -> tuple[bool, str]:
     cases = {
         (1, 2): (Fraction(1, 3), Fraction(2, 3)),
         (2, 3): (Fraction(5, 7), Fraction(6, 7)),
@@ -98,11 +81,10 @@ def criterion_exact_landing_pairs() -> CriterionResult:
         if (lo.fraction, hi.fraction) != want:
             bad.append(f"{p}/{q} -> {lo.fraction},{hi.fraction}")
     detail = "three rotation numbers exact" if not bad else "; ".join(bad)
-    return _finish("C01", "landing pairs", t0, 1.0, not bad, detail)
+    return not bad, detail
 
 
-def criterion_orbit_uniqueness() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_orbit_uniqueness() -> tuple[bool, str]:
     failures = []
     total = 0
     for q in range(2, 13):
@@ -121,11 +103,10 @@ def criterion_orbit_uniqueness() -> CriterionResult:
     detail = f"{total} coprime pairs, each a unique scanned orbit"
     if failures:
         detail = "; ".join(failures[:4])
-    return _finish("C02", "orbit uniqueness q<=12", t0, 10.0, not failures, detail)
+    return not failures, detail
 
 
-def criterion_external_angle_stability() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_external_angle_stability() -> tuple[bool, str]:
     coarse = external_angle(GOLDEN, 16)
     fine = external_angle(GOLDEN, 24)
     gap = abs(coarse.approx.fraction - fine.approx.fraction)
@@ -134,11 +115,10 @@ def criterion_external_angle_stability() -> CriterionResult:
     want = (Fraction(1, 3), Fraction(5, 7), Fraction(21, 31))
     ok = gap < Fraction(1, 2**15) and prefix == want
     detail = f"|a16 - a24| = {float(gap):.3e}, first iterates {prefix == want}"
-    return _finish("C03", "external angle stability", t0, 30.0, ok, detail)
+    return ok, detail
 
 
-def criterion_semiconjugacy() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_semiconjugacy() -> tuple[bool, str]:
     details = []
     ok = True
     for name, cf in (("golden", GOLDEN), ("silver", SILVER)):
@@ -147,11 +127,10 @@ def criterion_semiconjugacy() -> CriterionResult:
         good = good and report.alpha_exponent >= 240
         ok = ok and good
         details.append(f"{name}: exp {report.alpha_exponent}, ok {report.passed}")
-    return _finish("C04", "semiconjugacy order N=200", t0, 60.0, ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def criterion_brjuno_closed_form() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_brjuno_closed_form() -> tuple[bool, str]:
     sums = brjuno_partial_sums(GOLDEN, 50, prec_bits=128)
     nondecreasing = all(b >= a for a, b in zip(sums, sums[1:]))
     with mp.workprec(128):
@@ -160,11 +139,10 @@ def criterion_brjuno_closed_form() -> CriterionResult:
         err = abs(sums[-1] - closed)
     ok = nondecreasing and err < mpf("1e-6")
     detail = f"|S_50 - closed form| = {float(err):.2e}, nondecreasing {nondecreasing}"
-    return _finish("C05", "Brjuno closed form", t0, 1.0, ok, detail)
+    return ok, detail
 
 
-def criterion_linearization_identities() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_linearization_identities() -> tuple[bool, str]:
     series = linearization_coeffs(GOLDEN, 200, prec=256)
     with mp.workprec(256):
         lam = series.lam
@@ -173,11 +151,10 @@ def criterion_linearization_identities() -> CriterionResult:
     residual = functional_residual(series, est.r_hat, samples=200)
     ok = b2_err < mpf("1e-60") and residual < mpf("1e-10")
     detail = f"b2 err {float(b2_err):.1e}, residual {float(residual):.1e}"
-    return _finish("C06", "linearization identities", t0, 10.0, ok, detail)
+    return ok, detail
 
 
-def criterion_koebe_sandwich() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_koebe_sandwich() -> tuple[bool, str]:
     details = []
     ok = True
     for name, cf in (("golden", GOLDEN), ("silver", SILVER), ("alt", ALTERNATING)):
@@ -189,20 +166,18 @@ def criterion_koebe_sandwich() -> CriterionResult:
         good = lo <= probe.value <= hi and not probe.tail_flagged
         ok = ok and good
         details.append(f"{name}: rho/r = {float(probe.value / est.r_hat):.3f}")
-    return _finish("C07", "Koebe sandwich", t0, 30.0, ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def criterion_radius_ratio_trend() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_radius_ratio_trend() -> tuple[bool, str]:
     exp = radius_ratio_experiment((1, 1, 1, 1, 1, 1), 2, range(3, 7), order=256)
     devs = {row.n: float(row.deviation) for row in exp.rows}
     ok = exp.trend_ok and exp.reliable
     detail = ", ".join(f"n={n}: {devs[n]:.3f}" for n in sorted(devs))
-    return _finish("C08", "radius ratio trend A=2", t0, 300.0, ok, detail)
+    return ok, detail
 
 
-def criterion_rendering_oracles() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_rendering_oracles() -> tuple[bool, str]:
     bound = 2 * 2.0**-8
 
     grid_circle = render_julia(0j, 8)
@@ -218,11 +193,10 @@ def criterion_rendering_oracles() -> CriterionResult:
 
     ok = hd_circle <= bound and hd_segment <= bound
     detail = f"circle {hd_circle:.4f}, segment {hd_segment:.4f}, bound {bound:.4f}"
-    return _finish("C09", "rendering oracles res 8", t0, 60.0, ok, detail)
+    return ok, detail
 
 
-def criterion_ray_landing_oracles() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_ray_landing_oracles() -> tuple[bool, str]:
     plus = trace_ray(-2 + 0j, Fraction(0, 1), t_min=1e-6).points[-1]
     minus = trace_ray(-2 + 0j, Fraction(1, 2), t_min=1e-6).points[-1]
     cheb_ok = abs(plus - 2) < 1e-3 and abs(minus + 2) < 1e-3
@@ -235,21 +209,19 @@ def criterion_ray_landing_oracles() -> CriterionResult:
             radial_dev = max(radial_dev, abs(z - abs(z) * direction))
     ok = cheb_ok and radial_dev < 1e-9
     detail = f"end gaps {abs(plus - 2):.1e}/{abs(minus + 2):.1e}, radial {radial_dev:.1e}"
-    return _finish("C10", "ray landing oracles", t0, 30.0, ok, detail)
+    return ok, detail
 
 
-def criterion_lavrentiev_monte_carlo() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_lavrentiev_monte_carlo() -> tuple[bool, str]:
     results = lavrentiev_monte_carlo(100)
     violations = [r for r in results if not r.holds]
     worst = max(r.image_diam / r.bound for r in results)
     ok = len(results) == 100 and not violations
     detail = f"{len(results)} crosscuts, worst image/bound {worst:.3f}"
-    return _finish("C11", "Lavrentiev Monte Carlo", t0, 60.0, ok, detail)
+    return ok, detail
 
 
-def criterion_omega_gallery() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_omega_gallery() -> tuple[bool, str]:
     a_seq, b_seq = toy_sequences()
     dom = OmegaDomain(a_seq, b_seq)
 
@@ -276,24 +248,37 @@ def criterion_omega_gallery() -> CriterionResult:
 
     ok = cauchy_ok and chain_ok and sandwich_ok
     detail = f"cauchy {cauchy_ok}, chain {chain_ok}, sandwich {sandwich_ok}"
-    return _finish("C12", "omega gallery toy family", t0, 30.0, ok, detail)
+    return ok, detail
 
 
+# (ident, title, budget in seconds, check); a check returns (passed, detail)
 ALL_CRITERIA = (
-    criterion_exact_landing_pairs,
-    criterion_orbit_uniqueness,
-    criterion_external_angle_stability,
-    criterion_semiconjugacy,
-    criterion_brjuno_closed_form,
-    criterion_linearization_identities,
-    criterion_koebe_sandwich,
-    criterion_radius_ratio_trend,
-    criterion_rendering_oracles,
-    criterion_ray_landing_oracles,
-    criterion_lavrentiev_monte_carlo,
-    criterion_omega_gallery,
+    ("C01", "landing pairs", 1.0, criterion_exact_landing_pairs),
+    ("C02", "orbit uniqueness q<=12", 10.0, criterion_orbit_uniqueness),
+    ("C03", "external angle stability", 30.0, criterion_external_angle_stability),
+    ("C04", "semiconjugacy order N=200", 60.0, criterion_semiconjugacy),
+    ("C05", "Brjuno closed form", 1.0, criterion_brjuno_closed_form),
+    ("C06", "linearization identities", 10.0, criterion_linearization_identities),
+    ("C07", "Koebe sandwich", 30.0, criterion_koebe_sandwich),
+    ("C08", "radius ratio trend A=2", 300.0, criterion_radius_ratio_trend),
+    ("C09", "rendering oracles res 8", 60.0, criterion_rendering_oracles),
+    ("C10", "ray landing oracles", 30.0, criterion_ray_landing_oracles),
+    ("C11", "Lavrentiev Monte Carlo", 60.0, criterion_lavrentiev_monte_carlo),
+    ("C12", "omega gallery toy family", 30.0, criterion_omega_gallery),
 )
 
 
+def run_criterion(
+    ident: str, title: str, budget_s: float, check: Callable[[], tuple[bool, str]]
+) -> CriterionResult:
+    """Run one check; it passes only if it also finishes within its budget."""
+    started = time.perf_counter()
+    passed, detail = check()
+    elapsed = time.perf_counter() - started
+    return CriterionResult(
+        ident, title, passed and elapsed < budget_s, detail, elapsed, budget_s
+    )
+
+
 def run_all() -> list[CriterionResult]:
-    return [fn() for fn in ALL_CRITERIA]
+    return [run_criterion(*entry) for entry in ALL_CRITERIA]

@@ -212,6 +212,11 @@ class CantorCover:
         return sum((a.width for a in self.arcs), Fraction(0))
 
 
+def _default_prec(depth: int) -> int:
+    """cover's default working precision, which the CLI also records."""
+    return 2 * depth + 24
+
+
 def cover(cf: CFExpansion, depth: int, prec: int | None = None) -> CantorCover:
     """Arcs left after removing depth generations of forbidden-arc preimages.
 
@@ -225,7 +230,7 @@ def cover(cf: CFExpansion, depth: int, prec: int | None = None) -> CantorCover:
     if depth < 0:
         raise InvariantError("cover depth must be nonnegative")
     if prec is None:
-        prec = 2 * depth + 24
+        prec = _default_prec(depth)
     arc = build_arc(cf, prec)
     base = arc.outer_arc()
     arcs = [base]

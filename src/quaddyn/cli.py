@@ -42,7 +42,9 @@ def _resolve_prec(args: argparse.Namespace) -> int | None:
     if prec is not None and prec < 1:
         raise InvariantError(f"precision must be at least 1 bit, got {prec}")
     if prec is None and args.command == "cantor":
-        return 2 * args.depth + 24
+        from .cantor import _default_prec
+
+        return _default_prec(args.depth)
     return prec if prec is not None else _DEFAULT_PREC.get(args.command)
 
 
@@ -309,15 +311,12 @@ def _run_ray(args) -> dict:
 
 
 def _sequence_from_arg(text: str, slot: str):
-    from .combdomain import SequenceDirection, parse_sequence_expr, toy_sequences
+    from .combdomain import parse_sequence_expr, toy_sequences
 
     if text == "builtin:toy":
         a_seq, b_seq = toy_sequences()
         return a_seq if slot == "a" else b_seq
-    direction = (
-        SequenceDirection.INCREASING if slot == "a" else SequenceDirection.DECREASING
-    )
-    return parse_sequence_expr(text, direction)
+    return parse_sequence_expr(text)
 
 
 def _run_omega(args) -> dict:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -30,77 +30,30 @@ _EXPR_RE = re.compile(rf"^\s*({_RAT})\s*([+-])\s*(\d+)\s*\^\s*-\s*k\s*$")
 _CONST_RE = re.compile(rf"^\s*({_RAT})\s*$")
 
 
-class SequenceDirection(enum.Enum):
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
+@dataclass(frozen=True)
+class RationalSequence:
+    """Exact rational sequence k -> term_fn(k), indexed from 1.
 
-
-@dataclass
-class MonotoneRationalSequence:
-    """Exact rational sequence checked lazily for monotonicity.
-
-    The term function is evaluated on demand; every prefix that has been
-    queried is kept and re-checked, so a violation surfaces on the first
-    query that exposes it.  An optional limit bracket declares an interval
-    the limit is known to lie in; queried terms must stay on the approach
-    side of it.
+    An optional limit bracket declares an interval the limit is known to lie
+    in.  The direction the sequence must run in belongs to the domain that
+    uses it, which checks every term it reads (see OmegaDomain).
     """
 
-    direction: SequenceDirection
     term_fn: Callable[[int], Fraction]
     limit_bracket: tuple[Fraction, Fraction] | None = None
-    _terms: list[Fraction] = field(default_factory=list, repr=False)
-
-    def term(self, k: int) -> Fraction:
-        if k < 1:
-            raise InvariantError("sequence index starts at 1")
-        while len(self._terms) < k:
-            idx = len(self._terms) + 1
-            value = Fraction(self.term_fn(idx))
-            if self._terms:
-                prev = self._terms[-1]
-                if self.direction is SequenceDirection.INCREASING:
-                    ok = value >= prev
-                else:
-                    ok = value <= prev
-                if not ok:
-                    raise InvariantError(
-                        f"term {idx} = {value} breaks "
-                        f"{self.direction.value} monotonicity after {prev}"
-                    )
-            if self.limit_bracket is not None:
-                lo, hi = self.limit_bracket
-                if self.direction is SequenceDirection.INCREASING and value > hi:
-                    raise InvariantError(
-                        f"term {idx} = {value} overshoots the limit bracket"
-                    )
-                if self.direction is SequenceDirection.DECREASING and value < lo:
-                    raise InvariantError(
-                        f"term {idx} = {value} undershoots the limit bracket"
-                    )
-            self._terms.append(value)
-        return self._terms[k - 1]
 
 
-def parse_sequence_expr(
-    text: str, direction: SequenceDirection | None = None
-) -> MonotoneRationalSequence:
+def parse_sequence_expr(text: str) -> RationalSequence:
     """Build a sequence from a compact expression such as "1/4-4^-k".
 
     Supported forms: a bare rational constant, or constant +/- base^-k with
     an integer base; anything else raises InvariantError.  The constant is
-    the limit, so it doubles as a degenerate limit bracket.  The inferred
-    direction can be overridden, which matters only for constants (monotone
-    either way).
+    the limit, so it doubles as a degenerate limit bracket.
     """
     m = _CONST_RE.match(text)
     if m:
         value = Fraction(m.group(1))
-        return MonotoneRationalSequence(
-            direction=direction or SequenceDirection.INCREASING,
-            term_fn=lambda k: value,
-            limit_bracket=(value, value),
-        )
+        return RationalSequence(lambda k: value, (value, value))
     m = _EXPR_RE.match(text)
     if m is None:
         raise InvariantError(f"cannot parse sequence expression {text!r}")
@@ -109,17 +62,12 @@ def parse_sequence_expr(
     base = int(m.group(3))
     if base < 1:
         raise InvariantError("exponential base must be at least 1")
-    inferred = (
-        SequenceDirection.DECREASING if sign > 0 else SequenceDirection.INCREASING
-    )
-    return MonotoneRationalSequence(
-        direction=direction or inferred,
-        term_fn=lambda k: const + sign * Fraction(1, base**k),
-        limit_bracket=(const, const),
+    return RationalSequence(
+        lambda k: const + sign * Fraction(1, base**k), (const, const)
     )
 
 
-def toy_sequences() -> tuple[MonotoneRationalSequence, MonotoneRationalSequence]:
+def toy_sequences() -> tuple[RationalSequence, RationalSequence]:
     """The stock example pair a_k = 1/4 - 4^-k (up), b_k = 1/3 + 4^-k (down)."""
     return parse_sequence_expr("1/4-4^-k"), parse_sequence_expr("1/3+4^-k")
 
@@ -148,44 +96,60 @@ class Segment:
         return y == self.start[1] and xs[0] <= x <= xs[1]
 
 
-class OmegaDomain:
-    """The carved-square domain driven by two monotone rational sequences.
+def _extend(
+    terms: list[Fraction], seq: RationalSequence, n: int, increasing: bool
+) -> None:
+    """Append terms of seq until there are n, checking each new one.
 
-    a_seq increases, b_seq decreases, and for every queried index the terms
-    must satisfy 0 <= a_n < b_n < 1 so each slab fits inside the square and
-    keeps a nonempty gap next to each slat.  The classical picture pins the
-    limits below 1/2; early terms of natural approximating sequences can
+    Each term must not step against the direction, and must stay on the
+    approach side of the limit bracket: at most its top when increasing, at
+    least its bottom when decreasing.
+    """
+    word = "increasing" if increasing else "decreasing"
+    side = "overshoots" if increasing else "undershoots"
+    bracket = seq.limit_bracket
+    while len(terms) < n:
+        idx = len(terms) + 1
+        value = Fraction(seq.term_fn(idx))
+        if terms and (value < terms[-1] if increasing else value > terms[-1]):
+            raise InvariantError(
+                f"term {idx} = {value} breaks {word} monotonicity after {terms[-1]}"
+            )
+        if bracket and (value > bracket[1] if increasing else value < bracket[0]):
+            raise InvariantError(f"term {idx} = {value} {side} the limit bracket")
+        terms.append(value)
+
+
+class OmegaDomain:
+    """The carved-square domain driven by two rational sequences.
+
+    a_seq must increase and b_seq decrease, and for every queried index the
+    terms must satisfy 0 <= a_n < b_n < 1 so each slab fits inside the square
+    and keeps a nonempty gap next to each slat.  The classical picture pins
+    the limits below 1/2; early terms of natural approximating sequences can
     overshoot that, so only the geometric constraints are enforced per term.
+    Terms are read lazily and kept, so a violation surfaces on the first
+    query that exposes it.
     """
 
-    def __init__(
-        self,
-        a_seq: MonotoneRationalSequence,
-        b_seq: MonotoneRationalSequence,
-    ) -> None:
-        if a_seq.direction is not SequenceDirection.INCREASING:
-            raise InvariantError("a-sequence must be increasing")
-        if b_seq.direction is not SequenceDirection.DECREASING:
-            raise InvariantError("b-sequence must be decreasing")
+    def __init__(self, a_seq: RationalSequence, b_seq: RationalSequence) -> None:
         self.a_seq = a_seq
         self.b_seq = b_seq
+        self._a: list[Fraction] = []
+        self._b: list[Fraction] = []
 
-    def a(self, n: int) -> Fraction:
-        value = self.a_seq.term(n)
-        self._check_pair(value, self.b_seq.term(n), n)
-        return value
-
-    def b(self, n: int) -> Fraction:
-        value = self.b_seq.term(n)
-        self._check_pair(self.a_seq.term(n), value, n)
-        return value
-
-    @staticmethod
-    def _check_pair(a_n: Fraction, b_n: Fraction, n: int) -> None:
+    def terms(self, n: int) -> tuple[Fraction, Fraction]:
+        """The checked pair (a_n, b_n)."""
+        if n < 1:
+            raise InvariantError("sequence index starts at 1")
+        _extend(self._a, self.a_seq, n, increasing=True)
+        _extend(self._b, self.b_seq, n, increasing=False)
+        a_n, b_n = self._a[n - 1], self._b[n - 1]
         if not (0 <= a_n < b_n < 1):
             raise InvariantError(
                 f"need 0 <= a_{n} < b_{n} < 1, got a={a_n}, b={b_n}"
             )
+        return a_n, b_n
 
 
 def _pow3(exponent: int) -> Fraction:
@@ -210,7 +174,7 @@ def build_gamma_n(dom: OmegaDomain, n: int) -> tuple[Point, ...]:
     one = Fraction(1)
     verts: list[Point] = [(-one, one)]
     for k in range(1, n + 1):
-        a_k, b_k = dom.a(k), dom.b(k)
+        a_k, b_k = dom.terms(k)
         unit = _pow3(-k - 1)
         verts += [
             (a_k, 9 * unit),
@@ -219,7 +183,7 @@ def build_gamma_n(dom: OmegaDomain, n: int) -> tuple[Point, ...]:
             (-b_k, 3 * unit),
         ]
     for k in range(n, 0, -1):
-        a_k, b_k = dom.a(k), dom.b(k)
+        a_k, b_k = dom.terms(k)
         unit = _pow3(-k - 1)
         verts += [
             (b_k, 3 * unit),
@@ -273,7 +237,7 @@ def impression_segments(dom: OmegaDomain, k: int) -> tuple[Segment, Segment]:
     """
     if k < 1:
         raise InvariantError("depth starts at 1")
-    a_k, b_k = dom.a(k), dom.b(k)
+    a_k, b_k = dom.terms(k)
     zero = Fraction(0)
     inner = Segment((-a_k, zero), (a_k, zero))
     outer = Segment((-b_k, zero), (b_k, zero))
@@ -309,7 +273,7 @@ def _runs(dom: OmegaDomain, depth: int, y: Fraction) -> list[tuple]:
         k = 1
         while _pow3(-k) >= y:
             k += 1
-        a_k, b_k = dom.a(k), dom.b(k)
+        a_k, b_k = dom.terms(k)
         unit = _pow3(-k - 1)
         if 8 * unit <= y:  # and y <= 9 * unit, as y lies in slab k
             lo, hi = a_k, b_k

@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .angles import Angle
-from .cfrac import CFExpansion
 from .errors import InvariantError, PrecisionError
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "NEAR",
     "BORDERLINE",
     "MAX_JULIA_RES",
-    "cardioid_parameter",
     "render_julia",
     "hausdorff_distance",
     "trace_ray",
@@ -49,16 +47,6 @@ BORDERLINE = 2
 # largest render_julia exponent; res 9 takes 7.1 s and 549 MB of peak RSS
 # in a fresh interpreter on a 2-vCPU Xeon (two side^2 complex128 grids)
 MAX_JULIA_RES = 9
-
-
-def cardioid_parameter(theta: "Fraction | float | CFExpansion") -> complex:
-    """Parameter c on the main cardioid with the given internal angle."""
-    if isinstance(theta, CFExpansion):
-        value = float(theta.value_mpf(64))
-    else:
-        value = float(theta)
-    lam = cmath.exp(2j * math.pi * value)
-    return lam / 2 - lam * lam / 4
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,15 +3,15 @@ pass/fail line with its measured detail and time budget."""
 
 import pytest
 
-from quaddyn.acceptance import ALL_CRITERIA
+from quaddyn.acceptance import ALL_CRITERIA, run_criterion
 
 
-def _ident(fn):
-    return fn.__name__.replace("criterion_", "")
+def _ident(entry):
+    return entry[3].__name__.replace("criterion_", "")
 
 
-@pytest.mark.parametrize("criterion", ALL_CRITERIA, ids=_ident)
-def test_criterion(criterion):
-    result = criterion()
+@pytest.mark.parametrize("entry", ALL_CRITERIA, ids=_ident)
+def test_criterion(entry):
+    result = run_criterion(*entry)
     print(result.line)
     assert result.passed, result.line

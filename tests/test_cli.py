@@ -341,6 +341,27 @@ def test_omega_resolution_ceiling_exits_4(tmp_path, capsys, res):
 
 
 @pytest.mark.parametrize(
+    "seqs, message",
+    [
+        (["--a-seq", "1/3+4^-k"], "term 1 = 7/12 overshoots the limit bracket"),
+        (["--b-seq", "1/4-4^-k"], "term 1 = 0 undershoots the limit bracket"),
+        (["--a-seq", "1/2", "--b-seq", "1/3"], "need 0 <= a_1 < b_1 < 1, got a=1/2, b=1/3"),
+        (["--a-seq", "1/4", "--b-seq", "2/5"], None),
+    ],
+    ids=["a-overshoots", "b-undershoots", "crossed", "constants"],
+)
+def test_omega_sequence_errors(tmp_path, capsys, seqs, message):
+    argv = ["omega", *seqs, "--depth", "1", "--res", "16", "--out", str(tmp_path)]
+    code, out, err = _run(capsys, argv)
+    if message is None:
+        assert code == 0, err
+        return
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": "InvariantError", "message": message}
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "argv, expected",
     [
         (["orbit", "--pq", "2/5", "--no-such-flag"], 2),

@@ -1,9 +1,12 @@
-"""Fresh-interpreter runs: loading quaddyn must not load scipy, and
-`python -m quaddyn` must reach the CLI.
+"""Fresh-interpreter runs: loading quaddyn must not load scipy, the float
+dynamics commands must not load mpmath, and `python -m quaddyn` must reach
+the CLI.
 
 Every CLI invocation is a fresh interpreter, and scipy.spatial is most of
-its import time; only hausdorff_distance needs it.  The check runs in a
-fresh interpreter, because this test session may have loaded scipy already.
+its import time; only hausdorff_distance needs it.  mpmath serves the exact
+and high-precision layers, which julia, ray and lavrentiev never reach.  The
+checks run in a fresh interpreter, because this test session may have
+loaded scipy and mpmath already.
 """
 
 import json
@@ -55,6 +58,31 @@ def test_scipy_loads_only_with_hausdorff_distance(tmp_path):
     assert not after_julia
     assert distance == 5.0
     assert after_call
+
+
+FLOAT_COMMANDS = """
+import contextlib, io, json, sys
+from quaddyn.cli import main
+
+codes = []
+for argv in (["julia", "--c", "0", "--res", "4"],
+             ["ray", "--c", "-2,0", "--angle", "1/3"],
+             ["lavrentiev", "--count", "5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv + ["--out", OUT]))
+print(json.dumps([codes, "mpmath" in sys.modules]))
+"""
+
+
+def test_float_commands_leave_mpmath_unloaded(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"OUT = {str(tmp_path)!r}\n" + FLOAT_COMMANDS],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    codes, mpmath_loaded = json.loads(proc.stdout)
+    assert codes == [0, 0, 0]
+    assert not mpmath_loaded
 
 
 def test_module_entry_point(tmp_path):

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from quaddyn.combdomain import (
-    MonotoneRationalSequence,
     OmegaDomain,
     PointLocation,
-    SequenceDirection,
+    RationalSequence,
     _runs,
     build_gamma_n,
     chain_midpoint,
@@ -74,7 +73,7 @@ def _oracle_in_domain(dom, depth, point):
     k = 1
     while F(1, 3**k) >= y:
         k += 1
-    a_k, b_k, unit = dom.a(k), dom.b(k), F(1, 3 ** (k + 1))
+    (a_k, b_k), unit = dom.terms(k), F(1, 3 ** (k + 1))
     slab = _Rect(-b_k, b_k, 3 * unit, 9 * unit, False, False, False)
     left_slat = _Rect(-b_k, a_k, 8 * unit, 9 * unit)
     right_slat = _Rect(-a_k, b_k, 5 * unit, 6 * unit)
@@ -100,24 +99,27 @@ def _toy_domain():
 
 
 def _const_domain():
-    a_seq = parse_sequence_expr("1/4", direction=SequenceDirection.INCREASING)
-    b_seq = parse_sequence_expr("2/5", direction=SequenceDirection.DECREASING)
-    return OmegaDomain(a_seq, b_seq)
+    return OmegaDomain(parse_sequence_expr("1/4"), parse_sequence_expr("2/5"))
 
 
 def test_toy_sequence_terms():
     dom = _toy_domain()
-    assert [dom.a(n) for n in (1, 2, 3, 4)] == [F(0), F(3, 16), F(15, 64), F(63, 256)]
-    assert [dom.b(n) for n in (1, 2, 3, 4)] == [F(7, 12), F(19, 48), F(67, 192), F(259, 768)]
+    a = [F(0), F(3, 16), F(15, 64), F(63, 256)]
+    b = [F(7, 12), F(19, 48), F(67, 192), F(259, 768)]
+    assert [dom.terms(n) for n in (1, 2, 3, 4)] == list(zip(a, b))
 
 
 def test_parse_sequence_expr_directions():
+    # minus approaches the constant from below, plus from above; the
+    # constant is the limit bracket either way
     inc = parse_sequence_expr("1/4-4^-k")
     dec = parse_sequence_expr("1/3+4^-k")
-    assert inc.direction is SequenceDirection.INCREASING
-    assert dec.direction is SequenceDirection.DECREASING
-    assert inc.term(2) == F(3, 16)
-    assert dec.term(2) == F(19, 48)
+    assert [inc.term_fn(k) for k in (1, 2)] == [F(0), F(3, 16)]
+    assert [dec.term_fn(k) for k in (1, 2)] == [F(7, 12), F(19, 48)]
+    assert inc.limit_bracket == (F(1, 4), F(1, 4))
+    assert dec.limit_bracket == (F(1, 3), F(1, 3))
+    const = parse_sequence_expr("2/5")
+    assert const.term_fn(7) == F(2, 5) and const.limit_bracket == (F(2, 5), F(2, 5))
 
 
 def test_parse_sequence_expr_rejects_garbage():
@@ -135,37 +137,48 @@ def test_parse_sequence_expr_rejects_garbage():
 
 
 def test_monotone_sequence_flags_violation_on_query():
-    values = {1: F(1, 10), 2: F(1), 3: F(3, 10)}
-    seq = MonotoneRationalSequence(
-        direction=SequenceDirection.INCREASING, term_fn=values.__getitem__
-    )
-    assert seq.term(1) == F(1, 10)
-    assert seq.term(2) == F(1)
-    with pytest.raises(InvariantError):
-        seq.term(3)
+    values = {1: F(1, 10), 2: F(1, 2), 3: F(3, 10)}
+    dom = OmegaDomain(RationalSequence(values.__getitem__), parse_sequence_expr("9/10"))
+    assert dom.terms(1) == (F(1, 10), F(9, 10))
+    assert dom.terms(2) == (F(1, 2), F(9, 10))
+    with pytest.raises(InvariantError, match="term 3 = 3/10 breaks increasing monotonicity"):
+        dom.terms(3)
+    dom = OmegaDomain(parse_sequence_expr("0"), RationalSequence(lambda k: F(k, 10)))
+    assert dom.terms(1) == (F(0), F(1, 10))
+    with pytest.raises(InvariantError, match="term 2 = 1/5 breaks decreasing monotonicity"):
+        dom.terms(2)
 
 
 def test_monotone_sequence_respects_limit_bracket():
-    seq = MonotoneRationalSequence(
-        direction=SequenceDirection.INCREASING,
-        term_fn=lambda k: F(k, 4),
-        limit_bracket=(F(1, 2), F(1, 2)),
-    )
-    assert seq.term(1) == F(1, 4)
-    with pytest.raises(InvariantError):
-        seq.term(3)
+    a_seq = RationalSequence(lambda k: F(k, 4), (F(1, 2), F(1, 2)))
+    dom = OmegaDomain(a_seq, parse_sequence_expr("9/10"))
+    assert dom.terms(1) == (F(1, 4), F(9, 10))
+    with pytest.raises(InvariantError, match="term 3 = 3/4 overshoots the limit bracket"):
+        dom.terms(3)
+    b_seq = RationalSequence(lambda k: F(8 - k, 16), (F(3, 8), F(3, 8)))
+    dom = OmegaDomain(parse_sequence_expr("0"), b_seq)
+    assert dom.terms(2) == (F(0), F(3, 8))
+    with pytest.raises(InvariantError, match="term 3 = 5/16 undershoots the limit bracket"):
+        dom.terms(3)
 
 
 def test_domain_requires_opposite_directions():
-    inc = parse_sequence_expr("1/4-4^-k")
-    with pytest.raises(InvariantError):
-        OmegaDomain(inc, inc)
+    # a wrong-direction pair builds, and raises on its first query
+    inc, dec = parse_sequence_expr("1/4-4^-k"), parse_sequence_expr("1/3+4^-k")
+    with pytest.raises(InvariantError, match="^term 1 = 0 undershoots the limit bracket$"):
+        OmegaDomain(inc, inc).terms(1)
+    with pytest.raises(InvariantError, match="^term 1 = 7/12 overshoots the limit bracket$"):
+        OmegaDomain(dec, dec).terms(1)
+
+
+def test_domain_accepts_constant_sequences():
+    dom = OmegaDomain(parse_sequence_expr("1/4"), parse_sequence_expr("2/5"))
+    assert dom.terms(1) == (F(1, 4), F(2, 5))
+    assert dom.terms(5) == (F(1, 4), F(2, 5))
 
 
 def test_domain_cross_violation_surfaces_on_query():
-    a_seq = parse_sequence_expr("1/2", direction=SequenceDirection.INCREASING)
-    b_seq = parse_sequence_expr("1/3", direction=SequenceDirection.DECREASING)
-    dom = OmegaDomain(a_seq, b_seq)
+    dom = OmegaDomain(parse_sequence_expr("1/2"), parse_sequence_expr("1/3"))
     # points outside the square and below slab 1 read no term
     assert in_domain(dom, 1, (F(0), F(2))) is INSIDE
     assert in_domain(dom, 1, (F(0), F(1, 3))) is UNDECIDED
@@ -203,7 +216,7 @@ def test_rectangles_reference_geometry():
 def test_slats_sit_inside_the_slab():
     dom = _toy_domain()
     for n in (1, 2, 3):
-        a, b, u = dom.a(n), dom.b(n), F(1, 3 ** (n + 1))
+        (a, b), u = dom.terms(n), F(1, 3 ** (n + 1))
         assert -b < -a <= a < b
         # closed slat corners are carved; the slab keeps a gap beside each
         # slat and above and below each
@@ -353,7 +366,8 @@ def test_in_domain_matches_oracle_on_edges(dom):
         u = F(1, 3 ** (k + 1))
         xs = {F(0), F(1), F(-1)}
         for j in (k, k + 1):
-            xs |= {dom.a(j), -dom.a(j), dom.b(j), -dom.b(j)}
+            a_j, b_j = dom.terms(j)
+            xs |= {a_j, -a_j, b_j, -b_j}
         ys = [s * h * u for h in (3, 5, 6, 8, 9) for s in (1, -1)]
         for depth in range(max(1, k - 1), 9):
             for x in xs:
@@ -380,9 +394,7 @@ def test_domain_image_matches_oracle_raster(dom, depth, res):
 
 def test_domain_image_raises_as_the_oracle_does():
     # the slats of the last domain cross from slab 3 on
-    crossed = OmegaDomain(
-        parse_sequence_expr("1/2"), parse_sequence_expr("1/3", SequenceDirection.DECREASING)
-    )
+    crossed = OmegaDomain(parse_sequence_expr("1/2"), parse_sequence_expr("1/3"))
     late = OmegaDomain(parse_sequence_expr("1/2-2^-k"), parse_sequence_expr("1/3+9^-k"))
     assert domain_image(late, 2, 16).tobytes() == _oracle_image(late, 2, 16).tobytes()
     for dom, depth in ((_toy_domain(), 0), (crossed, 1), (late, 3)):

