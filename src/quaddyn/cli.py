@@ -11,6 +11,7 @@ machine-readable JSON object on stderr and write nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -449,7 +450,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and the tree of thirteen subparsers costs more to
+    build than a cheap command takes to run."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory for artifacts")
     common.add_argument(
@@ -546,7 +551,10 @@ def _emit_error(kind: str, message: str) -> None:
 
 # flags whose values may begin with a minus sign, which argparse would
 # otherwise read as another option (e.g. --c -2,0)
-_GLUE_FLAGS = {"--c", "--angle", "--value", "--endpoints", "--pq", "--distance"}
+_GLUE_FLAGS = {
+    "--c", "--angle", "--value", "--endpoints", "--pq", "--distance",
+    "--a-seq", "--b-seq",
+}
 
 
 def _glue_negative_values(argv: list[str]) -> list[str]:

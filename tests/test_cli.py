@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quaddyn import acceptance
+from quaddyn import acceptance, cli
 from quaddyn.acceptance import CriterionResult
 from quaddyn.cardioid import landing_pair
 from quaddyn.cli import _HANDLERS, main
@@ -359,6 +359,65 @@ def test_omega_sequence_errors(tmp_path, capsys, seqs, message):
     assert (code, out) == (4, "")
     assert json.loads(err) == {"error": "InvariantError", "message": message}
     assert not list(tmp_path.iterdir())
+
+
+def test_sequence_flags_take_a_leading_minus(tmp_path, capsys):
+    digests = []
+    for i, b_seq in enumerate((["--b-seq", "-1/4+2^-k"], ["--b-seq=-1/4+2^-k"])):
+        out_dir = tmp_path / str(i)
+        argv = ["omega", "--a-seq", "0", *b_seq, "--depth", "1", "--res", "16"]
+        code, _, err = _run(capsys, argv + ["--out", str(out_dir)])
+        assert code == 0, err
+        manifest = json.loads((out_dir / "omega-manifest.json").read_text())
+        del manifest["parameters"]["out"]
+        digests.append(manifest)
+    assert digests[0] == digests[1]
+    assert digests[0]["parameters"]["b_seq"] == "-1/4+2^-k"
+
+
+def _interleaved_outcomes(capsys, tmp_path):
+    """Exit code, stdout, stderr and written files of an argv sequence that
+    alternates errors and valid calls and reuses subcommands with other
+    options, all in one process."""
+    argvs = [
+        ["orbit", "--pq", "2/5", "--no-such-flag"],
+        ["orbit", "--pq", "2/5"],
+        ["lavrentiev", "--endpoints", "1.09995,1.10005", "--distance", "1.0"],
+        ["lavrentiev", "--count", "5"],
+        ["cf", "--cf", "1:rep=1"],
+        ["cf", "--value", "113/355"],
+        ["cf", "--cf", "1:rep=1", "--value", "1/3"],
+        ["angle", "--value", "1/7", "--steps", "3"],
+        ["angle", "--cf", "1:rep=1", "--prec", "32"],
+        ["julia", "--c", "-2,0", "--res", "3"],
+        ["julia", "--c", "0", "--res", "10"],
+        ["julia", "--c", "0,1", "--res", "2", "--max-iter", "9"],
+    ]
+    outcomes = []
+    for i, argv in enumerate(argvs):
+        out_dir = tmp_path / str(i)
+        code, out, err = _run(capsys, argv + ["--out", str(out_dir), "--json"])
+        files = {}
+        for path in sorted(out_dir.iterdir()) if out_dir.exists() else []:
+            files[path.name] = path.read_bytes()
+            if path.name.endswith("-manifest.json"):
+                manifest = json.loads(files[path.name])
+                assert manifest["parameters"].pop("out") == str(out_dir)
+                files[path.name] = manifest
+        outcomes.append((code, out, json.loads(err) if err else None, files))
+    return outcomes
+
+
+def test_parser_reuse_matches_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    reused = _interleaved_outcomes(capsys, tmp_path / "reused")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    fresh = _interleaved_outcomes(capsys, tmp_path / "fresh")
+    assert [outcome[0] for outcome in reused] == [2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 4, 0]
+    assert reused == fresh
+    # the Monte Carlo call carries no option of the single-crosscut call before it
+    assert set(reused[3][3]["lavrentiev-manifest.json"]["parameters"]) == {"count", "seed"}
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quaddyn import dynamics
 from quaddyn.dynamics import (
     BORDERLINE,
+    FAR,
     MAX_JULIA_RES,
+    NEAR,
+    _crosscut_image,
     _doubled_angle,
     hausdorff_distance,
     lavrentiev_check,
@@ -53,6 +57,73 @@ def test_render_needs_an_iteration(max_iter):
     # no iteration leaves every cell borderline, a grid that says nothing
     with pytest.raises(InvariantError):
         render_julia(0j, 3, max_iter=max_iter)
+
+
+def _masked_render_cells(c, n, max_iter, safety=4.0):
+    """The renderer's former escape loop, kept as the oracle: boolean masks
+    over the whole grid on every iteration, two side^2 complex grids."""
+    h = 2.0**-n
+    side = int(round(5.0 / h))
+    xs = -2.5 + (np.arange(side) + 0.5) * h
+    z = (xs[None, :] + 1j * xs[:, None]).astype(np.complex128)
+    dz = np.ones_like(z)
+    alive = np.ones(z.shape, dtype=bool)
+    for _ in range(max_iter):
+        zz = z[alive]
+        dz[alive] *= 2 * zz
+        z[alive] = zz * zz + c
+        alive[alive] = np.abs(z[alive]) <= 1e10
+        if not alive.any():
+            break
+    escaped = ~alive
+    cells = np.full(z.shape, BORDERLINE, dtype=np.int8)
+    mag = np.abs(z[escaped])
+    grad = np.abs(dz[escaped])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d_est = mag * np.log(mag) / np.maximum(grad, 1e-300)
+    esc_class = np.full(d_est.shape, BORDERLINE, dtype=np.int8)
+    esc_class[d_est >= 2 * safety * h] = FAR
+    esc_class[d_est <= h] = NEAR
+    cells[escaped] = esc_class
+    neighbor_escaped = np.zeros_like(alive)
+    neighbor_escaped[1:, :] |= escaped[:-1, :]
+    neighbor_escaped[:-1, :] |= escaped[1:, :]
+    neighbor_escaped[:, 1:] |= escaped[:, :-1]
+    neighbor_escaped[:, :-1] |= escaped[:, 1:]
+    cells[alive & neighbor_escaped] = NEAR
+    return cells
+
+
+@pytest.mark.parametrize(
+    "c", [0j, -2 + 0j, -0.75 + 0j, 0.3 + 0.5j, -0.12 + 0.75j, 2 + 2j], ids=str
+)
+def test_render_matches_masked_oracle(c):
+    # res 6, 7 and 8 span 2, 7 and 26 bands of the default band size
+    for n in range(1, 9):
+        for max_iter in (1, 7, 128):
+            cells = render_julia(c, n, max_iter=max_iter).cells
+            assert np.array_equal(cells, _masked_render_cells(c, n, max_iter)), (n, max_iter)
+
+
+@pytest.mark.parametrize("band_pixels", [1, 100, 1000, 5000])
+def test_render_band_edges_keep_the_neighbor_rule(monkeypatch, band_pixels):
+    # bands of one row and of a few rows put band edges through the set
+    monkeypatch.setattr(dynamics, "_BAND_PIXELS", band_pixels)
+    for c in (0j, -1 + 0j, -0.12 + 0.75j):
+        for n, max_iter, safety in ((4, 64, 4.0), (5, 16, 1.0), (6, 128, 2.5)):
+            cells = render_julia(c, n, max_iter=max_iter, safety=safety).cells
+            oracle = _masked_render_cells(c, n, max_iter, safety)
+            assert np.array_equal(cells, oracle), (c, n)
+
+
+def test_render_working_set_is_bounded():
+    # the masked oracle peaks at about 127 MB: two 1280^2 complex grids and copies
+    tracemalloc.start()
+    try:
+        render_julia(0j, 8)
+        assert tracemalloc.get_traced_memory()[1] < 32 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_render_circle_oracle():
@@ -301,3 +372,33 @@ def test_lavrentiev_monte_carlo_deterministic_and_clean():
     assert all(r.holds for r in first)
     assert any(r.center < 0 for r in first)
     assert any(r.center > 0 for r in first)
+
+
+def _pairwise_diameter(pts):
+    """Full pairwise maximum, the oracle of the blocked diameter."""
+    return float(np.abs(pts[None, :] - pts[:, None]).max())
+
+
+def test_lavrentiev_diameter_matches_pairwise_oracle(monkeypatch):
+    rng = random.Random(11)
+    for _ in range(20):
+        s = 0.5 + 10 ** rng.uniform(-1.5, 0.5)
+        eps = 10 ** rng.uniform(-3.0, -0.9)
+        pair = (s - eps * eps / 2, s + eps * eps / 2)
+        if rng.random() < 0.5:
+            pair = (-pair[1], -pair[0])
+        result = lavrentiev_check(pair, s - eps)
+        assert result.image_diam == _pairwise_diameter(_crosscut_image(*pair))
+
+    check = dynamics.lavrentiev_check
+    seen = []
+
+    def checked(endpoints, distance):
+        result = check(endpoints, distance)
+        x1, x2 = sorted(endpoints)
+        assert result.image_diam == _pairwise_diameter(_crosscut_image(x1, x2))
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(dynamics, "lavrentiev_check", checked)
+    assert len(lavrentiev_monte_carlo(100)) == len(seen) == 100
