@@ -44,9 +44,9 @@ FAR = 0
 NEAR = 1
 BORDERLINE = 2
 
-# largest render_julia exponent; res 9 takes 1.0 s and 57 MB of peak RSS in
-# a fresh interpreter on a 2-vCPU Xeon, and `julia --res 9` 1.6 s and 153 MB,
-# most of it the rgb image and its PPM bytes, which grow with side^2
+# largest render_julia exponent; res 9 takes 0.7 s and 57 MB of peak RSS in
+# a fresh interpreter on a 2-vCPU Xeon, and `julia --res 9` 1.2 s and 84 MB,
+# most of it the rgb image and its PPM bytes, 3 * side^2 bytes each
 MAX_JULIA_RES = 9
 
 # pixels per band of the render_julia escape loop
@@ -97,13 +97,19 @@ def render_julia(
     4-neighbor toggle to near (the boundary passes between the centers if
     the bounded side is honest); all other bounded cells stay borderline.
 
-    The escape loop runs over bands of whole rows of about _BAND_PIXELS
-    pixels.  Within a band it iterates compacted z and z' arrays of the
-    pixels still alive, with their flat indices; a pixel that escapes is
-    classified once, from its estimate, and dropped.  The neighbor rule
-    runs afterwards on the whole grid's escaped mask, so band edges do not
-    affect it, and the working set beyond the int8 cells and two bool
-    grids stays at one band.
+    The escape loop runs over the lower side/2 rows only, in bands of whole
+    rows of about _BAND_PIXELS pixels.  Within a band it iterates compacted
+    z and z' arrays of the pixels still alive, with their flat indices; a
+    pixel that escapes is classified once, from its estimate, and dropped.
+    The upper half is the lower half turned through a half turn, and that
+    is exact: side = 5 * 2^n is even, so the centers -2.5 + (i + 1/2) h
+    are negatives of each other bit for bit (the products (i + 1/2) h are
+    exact and rounding is symmetric), and IEEE negation commutes with
+    z^2 + c, which takes z and -z to one float, and with z' -> 2 z z',
+    which keeps the two z' negatives of each other, so |z| and |z'| agree
+    at every step.  The neighbor rule runs afterwards on the whole grid's
+    escaped mask, so band edges and the mirror do not affect it, and the
+    working set beyond the int8 cells and two bool grids stays at one band.
     """
     if not 1 <= n <= MAX_JULIA_RES:
         raise InvariantError(f"resolution exponent must be in 1..{MAX_JULIA_RES}")
@@ -119,9 +125,10 @@ def render_julia(
     escaped = np.zeros((side, side), dtype=bool)
     flat_cells, flat_escaped = cells.reshape(-1), escaped.reshape(-1)
     big = 1e10
+    half = side // 2
     rows = max(1, _BAND_PIXELS // side)
-    for r0 in range(0, side, rows):
-        z = (xs[None, :] + 1j * xs[r0 : r0 + rows, None]).ravel()
+    for r0 in range(0, half, rows):
+        z = (xs[None, :] + 1j * xs[r0 : min(r0 + rows, half), None]).ravel()
         dz = np.ones_like(z)
         idx = np.arange(r0 * side, r0 * side + z.size)
         for _ in range(max_iter):
@@ -143,6 +150,8 @@ def render_julia(
             z, dz, idx = z[alive], dz[alive], idx[alive]
             if not idx.size:
                 break
+    cells[half:] = cells[half - 1 :: -1, ::-1]
+    escaped[half:] = escaped[half - 1 :: -1, ::-1]
     neighbor_escaped = np.zeros_like(escaped)
     neighbor_escaped[1:, :] |= escaped[:-1, :]
     neighbor_escaped[:-1, :] |= escaped[1:, :]
@@ -205,14 +214,28 @@ def _ray_target(c: complex, t: float, beta: float) -> complex:
     return w - c / (2 * w)
 
 
+def _orbit(c: complex, z: complex, m: int) -> tuple[complex, complex]:
+    """f^m(z) and its derivative in z."""
+    value, deriv = z, complex(1.0)
+    for _ in range(m):
+        deriv = 2 * value * deriv
+        value = value * value + c
+    return value, deriv
+
+
 def _newton_forward(c: complex, seed: complex, m: int, target: complex) -> complex:
-    """Solve f^m(z) = target by damped Newton from the seed."""
+    """Solve f^m(z) = target by damped Newton from the seed.
+
+    The full step (scale 1) is tried first and accepted almost always; its
+    trial orbit carries the derivative too, and when it is accepted the
+    next iteration starts from that value and derivative.  They are the
+    floats it would compute: the next z is the trial point, made by the
+    same expression z - scale * step, and _orbit computes both.  Shorter
+    trials need no derivative, and a NaN orbit fails acceptance as before.
+    """
     z = seed
+    value, deriv = _orbit(c, z, m)
     for _ in range(60):
-        value, deriv = z, complex(1.0)
-        for _ in range(m):
-            deriv = 2 * value * deriv
-            value = value * value + c
         err = value - target
         if abs(err) < 1e-13 * (1 + abs(target)):
             return z
@@ -221,25 +244,31 @@ def _newton_forward(c: complex, seed: complex, m: int, target: complex) -> compl
         step = err / deriv
         scale = 1.0
         base = abs(err)
-        while scale > 2.0**-8:
-            cand = z - scale * step
-            value2 = cand
-            for _ in range(m):
-                value2 = value2 * value2 + c
-            if abs(value2 - target) < base:
-                break
+        value2, deriv2 = _orbit(c, z - scale * step, m)
+        if not abs(value2 - target) < base:  # a NaN orbit is refused too
             scale /= 2
-        else:
-            break
+            while scale > 2.0**-8:
+                value2 = z - scale * step
+                for _ in range(m):
+                    value2 = value2 * value2 + c
+                if abs(value2 - target) < base:
+                    break
+                scale /= 2
+            else:
+                break
         z = z - scale * step
         if abs(scale * step) < 1e-14 * (1 + abs(z)):
             return z
+        value, deriv = (value2, deriv2) if scale == 1.0 else _orbit(c, z, m)
     raise PrecisionError("ray correction did not converge")
 
 
 def _doubled_angle(angle: "Fraction | float", m: int) -> float:
     if isinstance(angle, Fraction):
-        return float((angle * 2**m) % 1)
+        # the same float as float((angle * 2**m) % 1): int / int rounds
+        # correctly, and an unreduced quotient names the same rational
+        p, q = angle.numerator, angle.denominator
+        return ((p << m) % q) / q
     # reducing mod 1 first is exact and keeps a large angle from overflowing
     return math.fmod(math.fmod(angle, 1.0) * 2.0**m, 1.0)
 
@@ -264,9 +293,13 @@ def trace_ray(
             "need a finite c and angle and 0 < t_min below the start potential log 1e4"
         )
 
+    doubled: dict[int, float] = {}
+
     def point_at(t: float, seed: complex | None) -> complex:
         m = max(0, math.ceil(math.log2(t0 / t) - 1e-12))
-        target = _ray_target(c, (2.0**m) * t, _doubled_angle(alpha, m))
+        if m not in doubled:
+            doubled[m] = _doubled_angle(alpha, m)
+        target = _ray_target(c, (2.0**m) * t, doubled[m])
         if seed is None:
             return target
         return _newton_forward(c, seed, m, target)
@@ -343,11 +376,7 @@ def _refine_periodic_landing(
     best: complex | None = None
     best_res = math.inf
     for _ in range(240):
-        w = z
-        deriv = complex(1.0)
-        for _ in range(period):
-            deriv *= 2 * w
-            w = w * w + c
+        w, deriv = _orbit(c, z, period)
         g = w - z
         if abs(g) < best_res:
             best, best_res = z, abs(g)
@@ -396,23 +425,38 @@ class LavrentievResult:
     margin: float
 
 
+# exp(i pi k / 200) for 0 < k < 200: the open arc of _crosscut_image
+_ARC_FACTORS = tuple(cmath.exp(1j * (math.pi * k / 200)) for k in range(1, 200))
+
+
 def _crosscut_image(x1: float, x2: float) -> np.ndarray:
     """Disk images of the semicircle on [x1, x2] and of the slit edge under
     it, in 200 equal steps each."""
     center = (x1 + x2) / 2
     radius = (x2 - x1) / 2
     samples = 200
-    image: list[complex] = []
     # Open arc only: at psi = 0 or pi the point is exactly real, where the
     # principal square root jumps to the lower edge.  The endpoint values
     # come from the explicit upper-edge formula below instead.
-    for k in range(1, samples):
-        psi = math.pi * k / samples
-        image.append(slit_to_disk(center + radius * cmath.exp(1j * psi)))
+    image = [slit_to_disk(center + radius * arc) for arc in _ARC_FACTORS]
     for k in range(samples + 1):
         x = x1 + (x2 - x1) * k / samples
         image.append(_slit_edge_to_disk(x, upper=True))
     return np.array(image)
+
+
+def _diameter(pts: np.ndarray) -> float:
+    """Largest |p - q|, the float of the full pairwise maximum, taken over
+    the points the triangle-inequality test of lavrentiev_check keeps; the
+    upper triangle suffices, as |p - q| and |q - p| agree bit for bit."""
+    with np.errstate(invalid="ignore"):
+        r = np.abs(pts - pts.mean())
+        d0 = np.abs(pts - pts[r.argmax()]).max()
+        pts = pts[~((r + r.max()) * (1 + 1e-9) < d0)]
+    return max(
+        float(np.abs(pts[None, i:] - pts[i : i + 64, None]).max())
+        for i in range(0, pts.size, 64)
+    )
 
 
 def lavrentiev_check(
@@ -427,6 +471,17 @@ def lavrentiev_check(
     crosscut diameter, the precondition eps^2 < M/4 must hold and the image
     diameter is compared against 30*eps/sqrt(M).  The image is sampled in
     200 equal steps along the arc and along the slit edge.
+
+    The image diameter is the float of the full pairwise maximum, taken
+    over fewer samples.  With r_i = |p_i - g| for the centroid g, r_max the
+    largest r_i and d0 the largest distance from the sample of r_max, a
+    sample with (r_i + r_max)(1 + 1e-9) < d0 is skipped: every pair it is
+    in has length at most r_i + r_j <= r_i + r_max, below d0 by the 1e-9
+    margin, and every computed distance is within a few ulps of the true
+    one, so the pair computes below d0.  Both samples of the d0 pair are
+    kept (their lengths to g sum to at least d0), so the
+    maximum over the kept samples is the full one.  A NaN fails every
+    comparison, so it keeps every sample and a NaN diameter.
     """
     x1, x2 = sorted(endpoints)
     if not (x1 * x2 > 0 and 0.5 <= min(abs(x1), abs(x2)) and math.isfinite(x2 - x1)):
@@ -445,13 +500,7 @@ def lavrentiev_check(
     if eps * eps >= distance / 4:
         raise InvariantError("precondition requires diam(crosscut) < distance/4")
 
-    pts = _crosscut_image(x1, x2)
-    # max over row blocks of the upper triangle: |p - q| and |q - p| agree
-    # bit for bit, so this is the full pairwise maximum
-    image_diam = max(
-        float(np.abs(pts[None, i:] - pts[i : i + 64, None]).max())
-        for i in range(0, pts.size, 64)
-    )
+    image_diam = _diameter(_crosscut_image(x1, x2))
     bound = 30 * eps / math.sqrt(distance)
     return LavrentievResult(
         center=center,

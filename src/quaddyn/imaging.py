@@ -15,11 +15,11 @@ import numpy as np
 from .dynamics import BORDERLINE, FAR, NEAR
 from .errors import InvariantError
 
-_PALETTE = {
-    FAR: (245, 245, 245),
-    NEAR: (24, 32, 96),
-    BORDERLINE: (252, 180, 60),
-}
+# row v is the color of cell value v
+_PALETTE = np.zeros((3, 3), dtype=np.uint8)
+_PALETTE[FAR] = (245, 245, 245)
+_PALETTE[NEAR] = (24, 32, 96)
+_PALETTE[BORDERLINE] = (252, 180, 60)
 
 
 def ppm_bytes(rgb: np.ndarray) -> bytes:
@@ -28,7 +28,8 @@ def ppm_bytes(rgb: np.ndarray) -> bytes:
         raise InvariantError("expected an array of shape (h, w, 3)")
     data = np.ascontiguousarray(rgb, dtype=np.uint8)
     h, w = data.shape[:2]
-    return b"P6\n%d %d\n255\n" % (w, h) + data.tobytes()
+    # one copy: join reads the array's buffer directly
+    return b"".join((b"P6\n%d %d\n255\n" % (w, h), data))
 
 
 def classification_image(cells: np.ndarray) -> np.ndarray:
@@ -37,10 +38,7 @@ def classification_image(cells: np.ndarray) -> np.ndarray:
     Expects rows indexed by imaginary part increasing upward (the renderer
     convention), so the output is flipped into image order.
     """
-    rgb = np.zeros(cells.shape + (3,), dtype=np.uint8)
-    for value, color in _PALETTE.items():
-        rgb[cells == value] = color
-    return rgb[::-1]
+    return _PALETTE[cells[::-1]]
 
 
 def cover_strip_image(arcs) -> np.ndarray:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import inf, isqrt, log2
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -120,23 +121,28 @@ def _scaled_fixed(
     return re, im
 
 
-def _unit_points(samples: int, frac: int) -> list[tuple[int, int]]:
+def _unit_points(samples: int, frac: int) -> tuple[tuple[int, int], ...]:
     """exp(2 pi i k / S) for k < S as fixed-point pairs, each to 2^-mp.prec.
 
     When 8 divides S only the first octant, k <= S/8, is evaluated.  The
     rest follows exactly: cos and sin swap across pi/4, a quarter turn maps
-    (x, y) to (-y, x) and a half turn to (-x, -y).
+    (x, y) to (-y, x) and a half turn to (-x, -y).  The table is memoised
+    per (S, frac, mp.prec), the three things it depends on.
     """
+    return _unit_table(samples, frac, mp.prec)
 
+
+@lru_cache(maxsize=16)
+def _unit_table(samples: int, frac: int, prec: int) -> tuple[tuple[int, int], ...]:
     def root(k: int) -> tuple[int, int]:
         return _to_fixed(mp.expjpi(mpf(2 * k) / samples), frac)
 
     if samples % 8:
-        return [root(k) for k in range(samples)]
+        return tuple(root(k) for k in range(samples))
     points = [root(k) for k in range(samples // 8 + 1)]
     points += [(y, x) for x, y in reversed(points[1:-1])]
     points += [(-y, x) for x, y in points]
-    return points + [(-x, -y) for x, y in points]
+    return tuple(points + [(-x, -y) for x, y in points])
 
 
 def _dft(

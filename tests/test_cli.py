@@ -523,6 +523,37 @@ def test_omega_raster_frozen(tmp_path, capsys, argv, sha256):
     assert hashlib.sha256((tmp_path / "omega.ppm").read_bytes()).hexdigest() == sha256
 
 
+# sha256 of artifacts of the float commands, recorded before their fast paths
+FLOAT_ARTIFACTS = [
+    (["ray", "--c", "-2,0", "--angle", "1/3"], "ray.csv",
+     "417e1d61107203ecfa14c441cd1f45156cf87dffddbb14cbfa6dae165b79bf28"),
+    (["ray", "--c", "-0.12,0.75", "--angle", "1/7"], "ray.csv",
+     "b1f47e9fbef2a83c4c0e5e5becc69ba97cd81c1b766cd17bc6f9b424af0183cf"),
+    (["ray", "--c", "-0.12,0.75", "--angle", "0.3"], "ray.csv",
+     "9b63fb13fb70fe02515b4135c75492d4498fad60666590eef38038823ae6297e"),
+    (["julia", "--c", "-0.1225,0.7449", "--res", "6"], "julia.ppm",
+     "243374305763f0d34631217f51c0e059460816d853bd83509343cbe58d132576"),
+    (["julia", "--c", "-1,0", "--res", "6"], "julia.ppm",
+     "0ea12462f1af9f37000892461703a9dd89e216fab30d18230f27d57c33d10be5"),
+    (["lavrentiev", "--count", "30", "--seed", "7"], "lavrentiev.json",
+     "b94d75905fea01573ed2f274249c22b1deb1e4cdfb43872493c630225f3fc28a"),
+    (["lavrentiev", "--endpoints", "1.09995,1.10005", "--distance", "1.0"], "lavrentiev.json",
+     "e12c4016696b927dc3a814441f29223084b9f81748e017ac55923ae83d1dc72f"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name, sha256",
+    [pytest.param(*row, id=" ".join(row[0])) for row in FLOAT_ARTIFACTS],
+)
+def test_float_artifacts_frozen(tmp_path, capsys, argv, name, sha256):
+    # the fast paths of the renderer, ray tracer and crosscut check must
+    # leave every artifact byte as it was
+    code, _, _ = _run(capsys, [*argv, "--out", str(tmp_path)])
+    assert code == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha256
+
+
 def test_huge_float_angle_reduces_mod_1(tmp_path, capsys):
     # 1e308 is an integer, so its ray is the ray of angle 0
     rays = []

@@ -16,6 +16,7 @@ from quaddyn.dynamics import (
     MAX_JULIA_RES,
     NEAR,
     _crosscut_image,
+    _diameter,
     _doubled_angle,
     hausdorff_distance,
     lavrentiev_check,
@@ -24,7 +25,7 @@ from quaddyn.dynamics import (
     slit_to_disk,
     trace_ray,
 )
-from quaddyn.errors import InvariantError
+from quaddyn.errors import InvariantError, PrecisionError
 
 
 def cardioid_parameter(theta: Fraction) -> complex:
@@ -95,7 +96,20 @@ def _masked_render_cells(c, n, max_iter, safety=4.0):
 
 
 @pytest.mark.parametrize(
-    "c", [0j, -2 + 0j, -0.75 + 0j, 0.3 + 0.5j, -0.12 + 0.75j, 2 + 2j], ids=str
+    "c",
+    [
+        0j,
+        -2 + 0j,
+        -0.75 + 0j,
+        0.3 + 0.5j,
+        -0.12 + 0.75j,
+        2 + 2j,
+        # a signed zero, a near-real and a parabolic parameter for the mirror
+        complex(-1, -0.0),
+        1e-300j,
+        0.25 + 0j,
+    ],
+    ids=repr,
 )
 def test_render_matches_masked_oracle(c):
     # res 6, 7 and 8 span 2, 7 and 26 bands of the default band size
@@ -194,6 +208,161 @@ def test_hausdorff_triangle_inequality():
         assert hausdorff_distance(a, c) <= (
             hausdorff_distance(a, b) + hausdorff_distance(b, c) + 1e-12
         )
+
+
+def _oracle_newton_forward(c, seed, m, target):
+    """The former Newton solve, kept as the oracle: it recomputes the orbit
+    and derivative of the accepted point on the next iteration."""
+    z = seed
+    for _ in range(60):
+        value, deriv = z, complex(1.0)
+        for _ in range(m):
+            deriv = 2 * value * deriv
+            value = value * value + c
+        err = value - target
+        if abs(err) < 1e-13 * (1 + abs(target)):
+            return z
+        if deriv == 0:
+            break
+        step = err / deriv
+        scale = 1.0
+        base = abs(err)
+        while scale > 2.0**-8:
+            cand = z - scale * step
+            value2 = cand
+            for _ in range(m):
+                value2 = value2 * value2 + c
+            if abs(value2 - target) < base:
+                break
+            scale /= 2
+        else:
+            break
+        z = z - scale * step
+        if abs(scale * step) < 1e-14 * (1 + abs(z)):
+            return z
+    raise PrecisionError("ray correction did not converge")
+
+
+def _newton_outcome(solve, *args):
+    try:
+        return repr(solve(*args))
+    except (PrecisionError, OverflowError) as exc:
+        return repr(exc)
+
+
+def test_newton_forward_matches_oracle_from_far_seeds():
+    # seeds far from the solution: damped steps, failed line searches, and
+    # orbits that overflow to inf or NaN or past what abs() can return
+    rng = random.Random(15)
+    outcomes = set()
+    for _ in range(3000):
+        c = complex(rng.uniform(-2, 0.5), rng.uniform(-1.2, 1.2))
+        m = rng.randint(0, 12)
+        seed = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        target = complex(rng.uniform(-30, 30), rng.uniform(-30, 30))
+        args = (c, seed, m, target)
+        got = _newton_outcome(dynamics._newton_forward, *args)
+        assert got == _newton_outcome(_oracle_newton_forward, *args), args
+        outcomes.add(got.split("(")[0])
+    assert outcomes >= {"PrecisionError", "OverflowError"}
+
+
+def _oracle_trace_ray(c, alpha, t_min=1e-6):
+    """The former ladder, kept as the oracle: Fraction arithmetic for the
+    doubled angle at every solve, and the oracle Newton solve."""
+    t0 = math.log(1e4)
+
+    def doubled(m):
+        if isinstance(alpha, Fraction):
+            return float((alpha * 2**m) % 1)
+        return math.fmod(math.fmod(alpha, 1.0) * 2.0**m, 1.0)
+
+    def point_at(t, seed):
+        m = max(0, math.ceil(math.log2(t0 / t) - 1e-12))
+        target = dynamics._ray_target(c, (2.0**m) * t, doubled(m))
+        if seed is None:
+            return target
+        return _oracle_newton_forward(c, seed, m, target)
+
+    def advance(z_from, t_from, t_to, depth):
+        try:
+            return point_at(t_to, z_from)
+        except PrecisionError:
+            if depth <= 0:
+                raise PrecisionError(
+                    f"ray stalled near potential {t_to:.3e}; "
+                    "precision exhausted approaching the landing point"
+                ) from None
+            t_mid = math.sqrt(t_from * t_to)
+            z_mid = advance(z_from, t_from, t_mid, depth - 1)
+            return advance(z_mid, t_mid, t_to, depth - 1)
+
+    ratio = 2.0 ** (-1.0 / 8)
+    points, potentials, t = [point_at(t0, None)], [t0], t0
+    while t > t_min:
+        t_next = max(t * ratio, t_min * (1 - 1e-12))
+        points.append(advance(points[-1], t, t_next, depth=16))
+        potentials.append(t_next)
+        t = t_next
+    landing = points[-1]
+    if isinstance(alpha, Fraction):
+        period = dynamics._angle_period(alpha)
+        if period is not None:
+            refined = dynamics._refine_periodic_landing(c, landing, period)
+            if refined is not None:
+                landing = refined
+    return dynamics.RayTrace(tuple(points), tuple(potentials), landing)
+
+
+def _assert_ray_matches_oracle(c, angle, t_min=1e-6):
+    got, want = trace_ray(c, angle, t_min=t_min), _oracle_trace_ray(c, angle, t_min)
+    assert got == want, (c, angle)
+    # repr tells signed zeros apart, which == does not
+    assert repr(got) == repr(want), (c, angle)
+
+
+BOUNDED_TYPE_C = cardioid_parameter((math.sqrt(5) - 1) / 2)
+
+
+@pytest.mark.parametrize(
+    "c", [0j, -1 + 0j, -0.75 + 0j, 0.25 + 0j, -0.12 + 0.75j, BOUNDED_TYPE_C], ids=repr
+)
+def test_trace_ray_matches_oracle_for_small_denominators(c):
+    # every p/q with q <= 16, down to potential 1e-2: full and damped line
+    # searches, and failed ones whose solves bisect the ladder step; the
+    # deeper ladder is covered by the test below
+    for angle in sorted({Fraction(p, q) for q in range(1, 17) for p in range(q)}):
+        _assert_ray_matches_oracle(c, angle, t_min=1e-2)
+
+
+def test_trace_ray_matches_oracle_to_the_default_potential():
+    c_values = (0j, -0.75 + 0j, 0.25 + 0j, -0.12 + 0.75j, BOUNDED_TYPE_C)
+    for c in c_values:
+        for angle in (Fraction(1, 3), Fraction(2, 7), Fraction(5, 12), Fraction(11, 16)):
+            _assert_ray_matches_oracle(c, angle)
+    # non-dyadic angles at c = -2, whose rays miss the critical orbit
+    angles = {Fraction(p, q) for q in (3, 5, 6, 7, 9, 12, 15) for p in range(q)}
+    for angle in sorted(a for a in angles if a.denominator & (a.denominator - 1)):
+        _assert_ray_matches_oracle(-2 + 0j, angle)
+    for angle in (0.3, 1e308):
+        _assert_ray_matches_oracle(0j, angle)
+        _assert_ray_matches_oracle(-0.12 + 0.75j, angle)
+    # the rays of criterion C10
+    for angle in (Fraction(0), Fraction(1, 2)):
+        _assert_ray_matches_oracle(-2 + 0j, angle)
+    for angle in (Fraction(1, 7), Fraction(1, 3), Fraction(3, 8)):
+        _assert_ray_matches_oracle(0j, angle)
+
+
+@pytest.mark.parametrize("angle", [Fraction(1, 4), Fraction(1, 8), Fraction(3, 8)], ids=str)
+def test_trace_ray_stalls_like_the_oracle(angle):
+    # dyadic rays at c = -2 land on the critical orbit, where precision runs out
+    with pytest.raises(PrecisionError) as want:
+        _oracle_trace_ray(-2 + 0j, angle)
+    with pytest.raises(PrecisionError) as got:
+        trace_ray(-2 + 0j, angle)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("ray stalled near potential")
 
 
 def test_trace_ray_radial_for_squaring_map():
@@ -402,3 +571,63 @@ def test_lavrentiev_diameter_matches_pairwise_oracle(monkeypatch):
 
     monkeypatch.setattr(dynamics, "lavrentiev_check", checked)
     assert len(lavrentiev_monte_carlo(100)) == len(seen) == 100
+
+
+def _oracle_crosscut_image(x1, x2):
+    """The former per-point sampler, kept as the oracle: one cmath.exp per
+    arc point."""
+    center, radius, samples = (x1 + x2) / 2, (x2 - x1) / 2, 200
+    image = []
+    for k in range(1, samples):
+        psi = math.pi * k / samples
+        image.append(slit_to_disk(center + radius * cmath.exp(1j * psi)))
+    for k in range(samples + 1):
+        x = x1 + (x2 - x1) * k / samples
+        image.append(dynamics._slit_edge_to_disk(x, upper=True))
+    return np.array(image)
+
+
+def test_crosscut_image_matches_per_point_oracle(monkeypatch):
+    check = dynamics.lavrentiev_check
+    seen = []
+
+    def checked(endpoints, distance):
+        x1, x2 = sorted(endpoints)
+        got, want = _crosscut_image(x1, x2), _oracle_crosscut_image(x1, x2)
+        assert got.tobytes() == want.tobytes(), (x1, x2)
+        seen.append(endpoints)
+        return check(endpoints, distance)
+
+    monkeypatch.setattr(dynamics, "lavrentiev_check", checked)
+    lavrentiev_monte_carlo(100)
+    assert len(seen) == 100
+
+
+def _clouds():
+    rng = np.random.default_rng(15)
+    circle = 0.3 - 2j + 1.7 * np.exp(2j * np.pi * rng.random(400))
+    radius, angle = np.sqrt(rng.random(400)), 2 * np.pi * rng.random(400)
+    return {
+        # every point lies near the centroid's farthest distance, so
+        # pruning keeps most of them
+        "circle": circle,
+        "duplicates": np.repeat(circle[:7], 9),
+        "one-point": np.array([0.5 + 0.25j] * 5),
+        "two-points": np.array([1e-3 + 2j, -4.5 + 0.125j]),
+        "disk": radius * np.exp(1j * angle),
+        "crosscut": _crosscut_image(1.09995, 1.10005),
+    }
+
+
+@pytest.mark.parametrize("name", list(_clouds()))
+def test_pruned_diameter_matches_pairwise_oracle(name):
+    pts = _clouds()[name]
+    assert _diameter(pts) == _pairwise_diameter(pts)
+    assert _diameter(pts[::-1]) == _pairwise_diameter(pts)
+
+
+def test_pruned_diameter_keeps_a_nan():
+    pts = _clouds()["disk"].copy()
+    pts[17] = complex(math.nan, 0.0)
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(_diameter(pts))

@@ -36,6 +36,23 @@ def test_classification_image_flips_rows():
     assert tuple(rgb[1, 0]) == tuple(classification_image(cells[:1])[0, 0])
 
 
+def _masked_ppm(cells):
+    """The former image path, kept as the oracle: one mask per palette
+    color into a zeroed array, a flipped view, and header + tobytes()."""
+    colors = {FAR: (245, 245, 245), NEAR: (24, 32, 96), BORDERLINE: (252, 180, 60)}
+    rgb = np.zeros(cells.shape + (3,), dtype=np.uint8)
+    for value, color in colors.items():
+        rgb[cells == value] = color
+    data = np.ascontiguousarray(rgb[::-1])
+    return b"P6\n%d %d\n255\n" % (cells.shape[1], cells.shape[0]) + data.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 7), (10, 10), (33, 5), (640, 640)])
+def test_classification_ppm_matches_masked_oracle(shape):
+    cells = np.random.default_rng(shape[0]).integers(0, 3, size=shape).astype(np.int8)
+    assert ppm_bytes(classification_image(cells)) == _masked_ppm(cells)
+
+
 def test_cover_strip_marks_arcs():
     arcs = [CircleInterval(Fraction(0), Fraction(1, 4))]
     rgb = cover_strip_image(arcs)

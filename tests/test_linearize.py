@@ -120,7 +120,7 @@ def oracle_evaluate(series, w):
 
 def oracle_unit_points(samples, frac):
     """One mp.expjpi per sample, no symmetry."""
-    return [_to_fixed(mp.expjpi(mpf(2 * k) / samples), frac) for k in range(samples)]
+    return tuple(_to_fixed(mp.expjpi(mpf(2 * k) / samples), frac) for k in range(samples))
 
 
 def _oracle_circle(radius, samples):
@@ -367,6 +367,30 @@ def test_unit_points_match_per_sample_table(prec):
             assert len(got) == samples
             for (x, y), (u, v) in zip(got, want):
                 assert max(abs(x - u), abs(y - v)) <= 4 << (frac - prec)
+
+
+def test_unit_point_memo_changes_no_bit():
+    # cold and warm caches, and two precisions interleaved in one process,
+    # give the same probe and residual
+    series = {prec: linearization_coeffs(GOLDEN, 96, prec=prec) for prec in (128, 256)}
+
+    def run(s):
+        r_hat = conformal_radius_estimate(s).r_hat
+        return inner_radius_probe(s, r_hat), functional_residual(s, r_hat)
+
+    cold = {}
+    for prec, s in series.items():
+        linearize._unit_table.cache_clear()
+        cold[prec] = run(s)
+    for prec in (256, 128, 256, 128):
+        assert run(series[prec]) == cold[prec]
+    # the table depends on mp.prec, not on frac alone
+    tables = {}
+    for prec in (64, 256, 64):
+        with mp.workprec(prec):
+            tables[prec] = _unit_points(512, 288)
+            assert tables[prec] == oracle_unit_points(512, 288)
+    assert tables[64] != tables[256]
 
 
 @pytest.mark.parametrize("r_hat", [0, -0.3])
