@@ -14,6 +14,7 @@ orbit positions come back as brackets rather than as bare points.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 _MIN_PREC = 240  # starting bits of both orbits in semiconjugacy_check
+_Arcs = list[tuple[int, int]]  # (lo, width) numerators over one denominator
 
 
 @dataclass(frozen=True)
@@ -63,22 +65,6 @@ class CircleInterval:
 
     def contains(self, x: Fraction) -> bool:
         return (x - self.lo) % 1 <= self.width
-
-    def intersect(self, other: "CircleInterval") -> "CircleInterval | None":
-        """Intersection, valid when the widths sum to less than a full turn."""
-        if self.width + other.width >= 1:
-            raise InvariantError("arc intersection needs combined width below 1")
-        for turn in (-1, 0, 1):
-            lo = max(self.lo, other.lo + turn)
-            hi = min(self.hi, other.hi + turn)
-            if lo <= hi:
-                return CircleInterval(lo % 1, lo % 1 + (hi - lo))
-        return None
-
-    def halved(self) -> tuple["CircleInterval", "CircleInterval"]:
-        """The two preimage arcs under doubling."""
-        lo, hi = self.lo / 2, self.hi / 2
-        return (CircleInterval(lo, hi), CircleInterval(lo + HALF, hi + HALF))
 
     def doubled(self) -> "CircleInterval":
         lo = (2 * self.lo) % 1
@@ -223,55 +209,66 @@ def cover(cf: CFExpansion, depth: int, prec: int | None = None) -> CantorCover:
     Level zero is the allowed half circle itself (outer bracket); each
     refinement keeps the halves whose image stays covered.  The refined arcs
     need no merging: halves of disjoint arcs are disjoint, and a half meets
-    the base arc in at most one arc because their widths sum below 1.  Every
-    endpoint is dyadic.  prec defaults to a schedule that keeps the
-    endpoint-bracket fattening far below the arc scale 2^-depth.
+    the base arc in at most one arc because their widths sum below 1.  prec
+    defaults to a schedule that keeps the endpoint-bracket fattening far
+    below the arc scale 2^-depth.  Endpoints are integers over one =
+    2^(prec + 2 + depth), where every halving is exact: the base arc's
+    endpoints are multiples of 2^-(prec + 2), and each generation halves once.
     """
     if depth < 0:
         raise InvariantError("cover depth must be nonnegative")
     if prec is None:
         prec = _default_prec(depth)
-    arc = build_arc(cf, prec)
-    base = arc.outer_arc()
-    arcs = [base]
+    base = build_arc(cf, prec).outer_arc()
+    one = 1 << (prec + 2 + depth)
+    arcs = [(int(base.lo * one), int(base.hi * one))]
+    lifts = [(lo + turn, hi + turn) for lo, hi in arcs for turn in (-one, 0, one)]
     for _ in range(depth):
-        refined: list[CircleInterval] = []
-        for piece in arcs:
-            for half in piece.halved():
-                got = half.intersect(base)
-                if got is not None:
-                    refined.append(got)
-        refined.sort(key=lambda a: a.lo)
-        arcs = [a for a in refined if a.width > 0]
+        refined = []
+        for lo, hi in arcs:
+            for h_lo, h_hi in ((lo >> 1, hi >> 1), ((lo + one) >> 1, (hi + one) >> 1)):
+                for l_lo, l_hi in lifts:
+                    if h_lo <= l_hi and l_lo <= h_hi:
+                        m_lo, m_hi = max(h_lo, l_lo), min(h_hi, l_hi)
+                        refined.append((m_lo % one, m_lo % one + m_hi - m_lo))
+                        break
+        refined.sort()
+        arcs = [a for a in refined if a[1] > a[0]]
     return CantorCover(
         depth=depth,
-        arcs=tuple(arcs),
+        arcs=tuple(CircleInterval(Fraction(a, one), Fraction(b, one)) for a, b in arcs),
         hausdorff_bound=Fraction(1, 2**depth),
     )
 
 
-def dense_orbit(
-    cf: CFExpansion, count: int, prec: int = 240
-) -> list[CircleInterval]:
+def _alpha_orbit(cf: CFExpansion, count: int, prec: int) -> tuple[_Arcs, int]:
+    """dense_orbit's brackets as (lo, width) numerators over den, and den."""
+    if count < 1:
+        raise InvariantError("need at least one orbit point")
+    bracket = _alpha_bracket(cf, prec + 2)
+    den = math.lcm(bracket.lo.denominator, bracket.hi.denominator)
+    lo, width = int(bracket.lo * den), int(bracket.width * den)
+    if 4 * (width << (count - 1)) > den:
+        raise PrecisionError(
+            f"orbit bracket beyond width 1/4; start near 2^-{count + 2} "
+            "relative to the target width instead"
+        )
+    orbit = []
+    for _ in range(count):
+        orbit.append((lo, width))
+        lo, width = 2 * lo % den, 2 * width
+    return orbit, den
+
+
+def dense_orbit(cf: CFExpansion, count: int, prec: int = 240) -> list[CircleInterval]:
     """Brackets for the first `count` doubling iterates of alpha.
 
     The alpha bracket has width at most 2^-prec and doubling doubles it
     exactly, so the k-th bracket has width 2^(k-prec).  Iteration refuses to
     continue past width 1/4, where brackets stop being meaningful arcs.
     """
-    if count < 1:
-        raise InvariantError("need at least one orbit point")
-    bracket = _alpha_bracket(cf, prec + 2)
-    out: list[CircleInterval] = []
-    for _ in range(count):
-        if bracket.width > Fraction(1, 4):
-            raise PrecisionError(
-                f"orbit bracket beyond width 1/4; start near 2^-{count + 2} "
-                "relative to the target width instead"
-            )
-        out.append(bracket)
-        bracket = bracket.doubled()
-    return out
+    orbit, den = _alpha_orbit(cf, count, prec)
+    return [CircleInterval(Fraction(lo, den), Fraction(lo + w, den)) for lo, w in orbit]
 
 
 @dataclass(frozen=True)
@@ -306,19 +303,19 @@ def semiconjugacy_check(cf: CFExpansion, count: int) -> SemiconjugacyReport:
     if count < 1:
         raise InvariantError("need at least one orbit point")
     theta_lo, theta_hi = cf.bracket(Fraction(1, 2**_MIN_PREC * 4 * max(count, 2)))
-    rotation = []
-    for k in range(count):
-        lo = (k * theta_lo) % 1
-        rotation.append(CircleInterval(lo, lo + k * (theta_hi - theta_lo)))
-    order_rotation = _cyclic_order(rotation)
-    if _neighbours_meet(rotation, order_rotation):
+    rden = math.lcm(theta_lo.denominator, theta_hi.denominator)
+    a, d = int(theta_lo * rden), int((theta_hi - theta_lo) * rden)
+    rotation = [(k * a % rden, k * d) for k in range(count)]
+    rotation_width = Fraction((count - 1) * d, rden)  # of the widest bracket
+    order_rotation = _cyclic_order(rotation, rden)
+    if _neighbours_meet(rotation, order_rotation, rden):
         raise PrecisionError(f"rotation orbit brackets overlap at 2^-{_MIN_PREC}")
 
     exponent = _MIN_PREC + count + 2
     for _ in range(6):
-        arcs = dense_orbit(cf, count, exponent)
-        order_doubling = _cyclic_order(arcs)
-        if not _neighbours_meet(arcs, order_doubling):
+        orbit, den = _alpha_orbit(cf, count, exponent)
+        order_doubling = _cyclic_order(orbit, den)
+        if not _neighbours_meet(orbit, order_doubling, den):
             first = _first_rank_mismatch(order_doubling, order_rotation)
             return SemiconjugacyReport(
                 count=count,
@@ -326,7 +323,7 @@ def semiconjugacy_check(cf: CFExpansion, count: int) -> SemiconjugacyReport:
                 first_violation=first,
                 undecided_pairs=0,
                 alpha_exponent=exponent,
-                max_width=max(a.width for a in arcs + rotation),
+                max_width=max(Fraction(orbit[-1][1], den), rotation_width),
             )
         exponent *= 2
     raise PrecisionError(
@@ -334,7 +331,7 @@ def semiconjugacy_check(cf: CFExpansion, count: int) -> SemiconjugacyReport:
     )
 
 
-def _neighbours_meet(arcs: list[CircleInterval], order: tuple[int, ...]) -> bool:
+def _neighbours_meet(arcs: _Arcs, order: tuple[int, ...], den: int) -> bool:
     """Whether two closed brackets meet, given their midpoints' circle order.
 
     Only cyclically adjacent brackets are compared; semiconjugacy_check
@@ -343,27 +340,21 @@ def _neighbours_meet(arcs: list[CircleInterval], order: tuple[int, ...]) -> bool
     if len(order) < 2:
         return False
     for i, j in zip(order, order[1:] + order[:1]):
-        forward = (arcs[j].midpoint - arcs[i].midpoint) % 1
-        if min(forward, 1 - forward) <= (arcs[i].width + arcs[j].width) / 2:
+        (lo_i, w_i), (lo_j, w_j) = arcs[i], arcs[j]
+        forward = (2 * (lo_j - lo_i) + w_j - w_i) % (2 * den)
+        if min(forward, 2 * den - forward) <= w_i + w_j:
             return True
     return False
 
 
-def _cyclic_order(arcs: list[CircleInterval]) -> tuple[int, ...]:
-    base = arcs[0].midpoint
-    keyed = sorted(((a.midpoint - base) % 1, i) for i, a in enumerate(arcs))
-    return tuple(i for _, i in keyed)
+def _cyclic_order(arcs: _Arcs, den: int) -> tuple[int, ...]:
+    mid = [2 * lo + w for lo, w in arcs]  # numerators over 2 * den
+    return tuple(sorted(range(len(mid)), key=lambda i: (mid[i] - mid[0]) % (2 * den)))
 
 
-def _first_rank_mismatch(
-    left: tuple[int, ...], right: tuple[int, ...]
-) -> int | None:
-    rank_left = {idx: pos for pos, idx in enumerate(left)}
-    rank_right = {idx: pos for pos, idx in enumerate(right)}
-    for idx in sorted(rank_left):
-        if rank_left[idx] != rank_right[idx]:
-            return idx
-    return None
+def _first_rank_mismatch(left: tuple[int, ...], right: tuple[int, ...]) -> int | None:
+    # an index has different ranks exactly where the two orders differ
+    return min((i for i, j in zip(left, right) if i != j), default=None)
 
 
 def arcs_hausdorff(

@@ -31,6 +31,10 @@ _DEFAULT_PREC = {
     "angle": 64, "brjuno": 128, "cf": 64, "radius": 256, "ratio-experiment": 256
 }
 
+# ceilings of two knobs whose cost grows faster than linearly (see README)
+MAX_CANTOR_DEPTH = 1000
+MAX_CF_COUNT = 10_000
+
 
 def _resolve_prec(args: argparse.Namespace) -> int | None:
     """The effective precision: --prec, then $QUADDYN_PREC, then the default."""
@@ -164,6 +168,8 @@ def _run_landing_pair(args) -> dict:
 
 
 def _run_cantor(args) -> dict:
+    if args.depth > MAX_CANTOR_DEPTH:
+        raise InvariantError(f"--depth must be at most {MAX_CANTOR_DEPTH}")
     from .cantor import cover
     from .imaging import cover_strip_image, ppm_bytes
 
@@ -197,6 +203,8 @@ def _run_brjuno(args) -> dict:
 
 
 def _run_cf(args) -> dict:
+    if args.count > MAX_CF_COUNT:
+        raise InvariantError(f"--count must be at most {MAX_CF_COUNT}")
     from .cfrac import convergents
 
     cf = _cf_from_args(args)

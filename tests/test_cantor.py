@@ -1,6 +1,8 @@
 """Allowed half circle, itinerary membership, finite covers, the dense orbit,
 and the cyclic-order semiconjugacy test."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +12,10 @@ from quaddyn.angles import Angle
 from quaddyn.cantor import (
     CircleInterval,
     Membership,
+    SemiconjugacyReport,
+    _alpha_bracket,
     _cyclic_order,
+    _first_rank_mismatch,
     _neighbours_meet,
     arcs_hausdorff,
     build_arc,
@@ -20,10 +25,128 @@ from quaddyn.cantor import (
     semiconjugacy_check,
 )
 from quaddyn.cfrac import CFExpansion, cf_expand
-from quaddyn.errors import InvariantError
+from quaddyn.errors import InvariantError, PrecisionError
 
 GOLDEN = CFExpansion((), (1,))
 SILVER = CFExpansion((), (2,))
+
+
+def _oracle_angles():
+    """Golden, silver, 1̄2̄, 3̄ and six seeded bounded-type angles."""
+    rng = random.Random(2014)
+    angles = [GOLDEN, SILVER, CFExpansion((), (1, 2)), CFExpansion((), (3,))]
+    for _ in range(6):
+        pre = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 4)))
+        per = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
+        angles.append(CFExpansion(pre, per))
+    return angles
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (InvariantError, PrecisionError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# -- Fraction oracles: the per-step CircleInterval loops that the integer
+# -- arithmetic of cover, dense_orbit and semiconjugacy_check replaces
+
+
+def _oracle_halved(arc):
+    lo, hi = arc.lo / 2, arc.hi / 2
+    half = Fraction(1, 2)
+    return (CircleInterval(lo, hi), CircleInterval(lo + half, hi + half))
+
+
+def _oracle_intersect(arc, other):
+    if arc.width + other.width >= 1:
+        raise InvariantError("arc intersection needs combined width below 1")
+    for turn in (-1, 0, 1):
+        lo = max(arc.lo, other.lo + turn)
+        hi = min(arc.hi, other.hi + turn)
+        if lo <= hi:
+            return CircleInterval(lo % 1, lo % 1 + (hi - lo))
+    return None
+
+
+def _oracle_dense_orbit(cf, count, prec=240):
+    if count < 1:
+        raise InvariantError("need at least one orbit point")
+    bracket = _alpha_bracket(cf, prec + 2)
+    out = []
+    for _ in range(count):
+        if bracket.width > Fraction(1, 4):
+            raise PrecisionError(
+                f"orbit bracket beyond width 1/4; start near 2^-{count + 2} "
+                "relative to the target width instead"
+            )
+        out.append(bracket)
+        bracket = bracket.doubled()
+    return out
+
+
+def _oracle_neighbours_meet(arcs, order):
+    if len(order) < 2:
+        return False
+    for i, j in zip(order, order[1:] + order[:1]):
+        forward = (arcs[j].midpoint - arcs[i].midpoint) % 1
+        if min(forward, 1 - forward) <= (arcs[i].width + arcs[j].width) / 2:
+            return True
+    return False
+
+
+def _oracle_cyclic_order(arcs):
+    base = arcs[0].midpoint
+    keyed = sorted(((a.midpoint - base) % 1, i) for i, a in enumerate(arcs))
+    return tuple(i for _, i in keyed)
+
+
+def _oracle_first_rank_mismatch(left, right):
+    rank_left = {idx: pos for pos, idx in enumerate(left)}
+    rank_right = {idx: pos for pos, idx in enumerate(right)}
+    for idx in sorted(rank_left):
+        if rank_left[idx] != rank_right[idx]:
+            return idx
+    return None
+
+
+def _oracle_semiconjugacy_check(cf, count):
+    if count < 1:
+        raise InvariantError("need at least one orbit point")
+    theta_lo, theta_hi = cf.bracket(Fraction(1, 2**240 * 4 * max(count, 2)))
+    rotation = []
+    for k in range(count):
+        lo = (k * theta_lo) % 1
+        rotation.append(CircleInterval(lo, lo + k * (theta_hi - theta_lo)))
+    order_rotation = _oracle_cyclic_order(rotation)
+    if _oracle_neighbours_meet(rotation, order_rotation):
+        raise PrecisionError("rotation orbit brackets overlap at 2^-240")
+    exponent = 240 + count + 2
+    for _ in range(6):
+        arcs = _oracle_dense_orbit(cf, count, exponent)
+        order_doubling = _oracle_cyclic_order(arcs)
+        if not _oracle_neighbours_meet(arcs, order_doubling):
+            first = _oracle_first_rank_mismatch(order_doubling, order_rotation)
+            return SemiconjugacyReport(
+                count=count,
+                passed=first is None,
+                first_violation=first,
+                undecided_pairs=0,
+                alpha_exponent=exponent,
+                max_width=max(a.width for a in arcs + rotation),
+            )
+        exponent *= 2
+    raise PrecisionError(
+        f"orbit brackets still overlap at alpha exponent {exponent // 2}"
+    )
+
+
+def _as_numerators(arcs):
+    """CircleIntervals as (lo, width) numerators over their common denominator."""
+    den = math.lcm(*(x.denominator for a in arcs for x in (a.lo, a.hi)))
+    return [(int(a.lo * den), int(a.width * den)) for a in arcs], den
 
 
 def _overlapping_pairs(arcs):
@@ -40,7 +163,12 @@ def _overlapping_pairs(arcs):
 
 
 def _sorted_verdict(arcs):
-    return _neighbours_meet(arcs, _cyclic_order(arcs))
+    numerators, den = _as_numerators(arcs)
+    order = _cyclic_order(numerators, den)
+    assert order == _oracle_cyclic_order(arcs)
+    verdict = _neighbours_meet(numerators, order, den)
+    assert verdict == _oracle_neighbours_meet(arcs, order)
+    return verdict
 
 
 def _arc_distance(x, arcs):
@@ -152,8 +280,8 @@ def _merging_cover_oracle(cf, depth, prec):
     for _ in range(depth):
         refined = []
         for piece in arcs:
-            for half in piece.halved():
-                got = half.intersect(base)
+            for half in _oracle_halved(piece):
+                got = _oracle_intersect(half, base)
                 if got is not None:
                     refined.append(got)
         refined.sort(key=lambda a: a.lo)
@@ -171,17 +299,12 @@ def _merging_cover_oracle(cf, depth, prec):
 
 
 def test_cover_matches_merging_oracle():
-    rng = random.Random(2014)
-    angles = [GOLDEN, SILVER]
-    for _ in range(5):
-        pre = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 4)))
-        per = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
-        angles.append(CFExpansion(pre, per))
-    for cf in angles:
-        for depth in range(15):
-            for prec in (8, 12, 2 * depth + 24, 80):
+    for cf in _oracle_angles():
+        for depth in range(21):
+            for prec in (None, 8, 12, 80):
                 arcs = cover(cf, depth, prec).arcs
-                assert arcs == _merging_cover_oracle(cf, depth, prec), (cf, depth, prec)
+                oracle_prec = 2 * depth + 24 if prec is None else prec
+                assert arcs == _merging_cover_oracle(cf, depth, oracle_prec), (cf, depth, prec)
                 # sorted and pairwise disjoint, also across 0
                 assert all(a.hi < b.lo for a, b in zip(arcs, arcs[1:]))
                 assert len(arcs) == 1 or arcs[-1].hi - 1 < arcs[0].lo
@@ -229,6 +352,18 @@ def test_dense_orbit_precision_exhaustion():
     assert "precision" in str(info.value).lower() or "width" in str(info.value).lower()
 
 
+@pytest.mark.parametrize(
+    "count,prec",
+    [(0, 240), (1, 4), (1, 240), (12, 200), (30, 220), (61, 64), (62, 64), (63, 64),
+     (400, 64), (100, 100)],
+)
+def test_dense_orbit_matches_fraction_oracle(count, prec):
+    # equal bracket lists, or equal error types and messages
+    for cf in _oracle_angles():
+        got = _outcome(dense_orbit, cf, count, prec)
+        assert got == _outcome(_oracle_dense_orbit, cf, count, prec), (cf, count, prec)
+
+
 def test_arcs_hausdorff_point_cases():
     from quaddyn.cantor import CircleInterval
 
@@ -257,6 +392,39 @@ def test_semiconjugacy_golden_medium_run():
     assert report.passed
     assert report.undecided_pairs == 0
     assert report.count == 60
+
+
+@pytest.mark.parametrize("count", [1, 2, 10, 50])
+def test_semiconjugacy_matches_fraction_oracle(count):
+    for cf in _oracle_angles():
+        got = _outcome(semiconjugacy_check, cf, count)
+        assert got == _outcome(_oracle_semiconjugacy_check, cf, count), (cf, count)
+
+
+@pytest.mark.parametrize("cf,exponent", [(GOLDEN, 442), (SILVER, 884)])
+def test_semiconjugacy_escalation_on_the_c04_pair(cf, exponent):
+    # C04 runs count 200; silver needs one doubling of the alpha exponent
+    report = semiconjugacy_check(cf, 200)
+    assert report == _oracle_semiconjugacy_check(cf, 200)
+    assert report.passed
+    assert report.alpha_exponent == exponent
+
+
+def test_first_rank_mismatch_matches_rank_oracle():
+    pairs = [
+        (left, right)
+        for n in range(6)
+        for left in itertools.permutations(range(n))
+        for right in itertools.permutations(range(n))
+    ]
+    rng = random.Random(2014)
+    for _ in range(2000):
+        left = list(range(rng.randint(6, 40)))
+        rng.shuffle(left)
+        right = left[:] if rng.random() < 0.2 else rng.sample(left, len(left))
+        pairs.append((tuple(left), tuple(right)))
+    for left, right in pairs:
+        assert _first_rank_mismatch(left, right) == _oracle_first_rank_mismatch(left, right)
 
 
 def _random_arc(rng, bits):

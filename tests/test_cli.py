@@ -341,6 +341,33 @@ def test_omega_resolution_ceiling_exits_4(tmp_path, capsys, res):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cantor", "--cf", "1:rep=1", "--depth", str(cli.MAX_CANTOR_DEPTH + 1)],
+         f"--depth must be at most {cli.MAX_CANTOR_DEPTH}"),
+        (["cf", "--cf", "1:rep=1", "--count", str(cli.MAX_CF_COUNT + 1)],
+         f"--count must be at most {cli.MAX_CF_COUNT}"),
+        (["cf", "--cf", "1:rep=1", "--count", "100000000"],
+         f"--count must be at most {cli.MAX_CF_COUNT}"),
+    ],
+    ids=["cantor-depth", "cf-count", "cf-count-1e8"],
+)
+def test_size_ceilings_exit_4_before_computing(tmp_path, capsys, monkeypatch, argv, message):
+    from quaddyn import cantor, cfrac
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computation started above the ceiling")
+
+    monkeypatch.setattr(cantor, "cover", refuse)
+    monkeypatch.setattr(cfrac, "convergents", refuse)
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, argv + ["--out", str(out_dir), "--json"])
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": "InvariantError", "message": message}
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "seqs, message",
     [
         (["--a-seq", "1/3+4^-k"], "term 1 = 7/12 overshoots the limit bracket"),
