@@ -207,13 +207,16 @@ def cover(cf: CFExpansion, depth: int, prec: int | None = None) -> CantorCover:
     """Arcs left after removing depth generations of forbidden-arc preimages.
 
     Level zero is the allowed half circle itself (outer bracket); each
-    refinement keeps the halves whose image stays covered.  The refined arcs
-    need no merging: halves of disjoint arcs are disjoint, and a half meets
-    the base arc in at most one arc because their widths sum below 1.  prec
-    defaults to a schedule that keeps the endpoint-bracket fattening far
-    below the arc scale 2^-depth.  Endpoints are integers over one =
-    2^(prec + 2 + depth), where every halving is exact: the base arc's
-    endpoints are multiples of 2^-(prec + 2), and each generation halves once.
+    refinement keeps the halves whose image stays covered, cut to the base
+    arc.  Halves of disjoint arcs are disjoint, so nothing needs merging.  No
+    arc wraps past 0: for the low bracket [gamma, gamma + w], build_arc
+    certifies rel + alpha.width < 1/2 with rel = alpha.lo - gamma >= gamma,
+    and w <= alpha.width = 2^-prec, so the base [gamma, gamma + 1/2 + w] and
+    the halves of any arc in it lie in [0, 1).  prec defaults to a schedule
+    that keeps the endpoint-bracket fattening far below the arc scale
+    2^-depth.  Endpoints are integers over one = 2^(prec + 2 + depth), where
+    every halving is exact: the base arc's endpoints are multiples of
+    2^-(prec + 2), and each generation halves once.
     """
     if depth < 0:
         raise InvariantError("cover depth must be nonnegative")
@@ -221,19 +224,16 @@ def cover(cf: CFExpansion, depth: int, prec: int | None = None) -> CantorCover:
         prec = _default_prec(depth)
     base = build_arc(cf, prec).outer_arc()
     one = 1 << (prec + 2 + depth)
-    arcs = [(int(base.lo * one), int(base.hi * one))]
-    lifts = [(lo + turn, hi + turn) for lo, hi in arcs for turn in (-one, 0, one)]
+    b_lo, b_hi = int(base.lo * one), int(base.hi * one)
+    arcs = [(b_lo, b_hi)]
     for _ in range(depth):
         refined = []
         for lo, hi in arcs:
             for h_lo, h_hi in ((lo >> 1, hi >> 1), ((lo + one) >> 1, (hi + one) >> 1)):
-                for l_lo, l_hi in lifts:
-                    if h_lo <= l_hi and l_lo <= h_hi:
-                        m_lo, m_hi = max(h_lo, l_lo), min(h_hi, l_hi)
-                        refined.append((m_lo % one, m_lo % one + m_hi - m_lo))
-                        break
-        refined.sort()
-        arcs = [a for a in refined if a[1] > a[0]]
+                m_lo, m_hi = max(h_lo, b_lo), min(h_hi, b_hi)
+                if m_hi > m_lo:
+                    refined.append((m_lo, m_hi))
+        arcs = sorted(refined)
     return CantorCover(
         depth=depth,
         arcs=tuple(CircleInterval(Fraction(a, one), Fraction(b, one)) for a, b in arcs),

@@ -171,7 +171,7 @@ def _run_cantor(args) -> dict:
     if args.depth > MAX_CANTOR_DEPTH:
         raise InvariantError(f"--depth must be at most {MAX_CANTOR_DEPTH}")
     from .cantor import cover
-    from .imaging import cover_strip_image, ppm_bytes
+    from .imaging import cover_strip_ppm
 
     cf = _cf_from_args(args)
     result = cover(cf, args.depth, prec=args.prec)
@@ -184,7 +184,7 @@ def _run_cantor(args) -> dict:
     }
     return {
         "cantor-cover.json": doc,
-        "cantor-cover.ppm": ppm_bytes(cover_strip_image(result.arcs)),
+        "cantor-cover.ppm": cover_strip_ppm(result.arcs),
     }
 
 
@@ -336,7 +336,7 @@ def _run_omega(args) -> dict:
         crosscut_chain,
         impression_segments,
     )
-    from .imaging import domain_image, ppm_bytes
+    from .imaging import domain_ppm
 
     dom = OmegaDomain(
         _sequence_from_arg(args.a_seq, "a"), _sequence_from_arg(args.b_seq, "b")
@@ -368,7 +368,7 @@ def _run_omega(args) -> dict:
     }
     return {
         "omega.json": doc,
-        "omega.ppm": ppm_bytes(domain_image(dom, args.depth, resolution=args.res)),
+        "omega.ppm": domain_ppm(dom, args.depth, resolution=args.res),
     }
 
 

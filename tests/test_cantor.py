@@ -310,6 +310,26 @@ def test_cover_matches_merging_oracle():
                 assert len(arcs) == 1 or arcs[-1].hi - 1 < arcs[0].lo
 
 
+def test_certified_base_arc_does_not_wrap():
+    # cover meets each half with the base arc [gamma, gamma + 1/2 + w] only,
+    # never with a turn of it, because gamma + w < 1/2 for every certified
+    # arc; the two extra angles put gamma within 2^-11 of 1/2
+    near_half = [CFExpansion((1, 8), (2,)), CFExpansion((1,), (12, 1))]
+    certified = 0
+    for cf in _oracle_angles() + near_half:
+        for prec in range(4, 41):
+            try:
+                arc = build_arc(cf, prec)
+            except PrecisionError:
+                continue
+            certified += 1
+            assert arc.low.lo + arc.low.width < Fraction(1, 2), (cf, prec)
+    assert certified > 400
+    for cf in near_half:
+        for depth in range(13):
+            assert cover(cf, depth).arcs == _merging_cover_oracle(cf, depth, 2 * depth + 24)
+
+
 def test_cover_total_length_decreases():
     lengths = [cover(GOLDEN, d, prec=80).total_length() for d in (0, 2, 4, 6)]
     assert all(b < a for a, b in zip(lengths, lengths[1:]))

@@ -1,6 +1,7 @@
 """Fresh-interpreter runs: loading quaddyn must not load scipy, the float
-dynamics commands must not load mpmath, and `python -m quaddyn` must reach
-the CLI.
+dynamics commands must not load mpmath, the exact image commands must not
+load numpy or the float renderer, and `python -m quaddyn` must reach the
+CLI.
 
 Every CLI invocation is a fresh interpreter, and scipy.spatial is most of
 its import time; only hausdorff_distance needs it.  mpmath serves the exact
@@ -83,6 +84,34 @@ def test_float_commands_leave_mpmath_unloaded(tmp_path):
     codes, mpmath_loaded = json.loads(proc.stdout)
     assert codes == [0, 0, 0]
     assert not mpmath_loaded
+
+
+EXACT_COMMANDS = """
+import contextlib, io, json, sys
+from quaddyn.cli import main
+
+codes = []
+for argv in (["omega", "--depth", "3"],
+             ["cantor", "--cf", "1:rep=1", "--depth", "6"],
+             ["landing-pair", "--pq", "3/5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv + ["--out", OUT]))
+print(json.dumps([codes, "numpy" in sys.modules, "quaddyn.dynamics" in sys.modules]))
+"""
+
+
+def test_exact_commands_leave_numpy_and_renderer_unloaded(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"OUT = {str(tmp_path)!r}\n" + EXACT_COMMANDS],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    codes, numpy_loaded, dynamics_loaded = json.loads(proc.stdout)
+    assert codes == [0, 0, 0]
+    assert (tmp_path / "omega.ppm").exists()
+    assert (tmp_path / "cantor-cover.ppm").exists()
+    assert not numpy_loaded
+    assert not dynamics_loaded
 
 
 def test_module_entry_point(tmp_path):

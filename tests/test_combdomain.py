@@ -27,7 +27,7 @@ from quaddyn.combdomain import (
 )
 from quaddyn.dynamics import BORDERLINE, FAR, NEAR
 from quaddyn.errors import InvariantError
-from quaddyn.imaging import classification_image, domain_image
+from quaddyn.imaging import classification_image, domain_image, domain_ppm, ppm_bytes
 
 F = Fraction
 INSIDE, OUTSIDE, UNDECIDED = PointLocation.INSIDE, PointLocation.OUTSIDE, PointLocation.UNDECIDED
@@ -390,6 +390,7 @@ def test_in_domain_matches_oracle_on_edges(dom):
 )
 def test_domain_image_matches_oracle_raster(dom, depth, res):
     assert domain_image(dom, depth, res).tobytes() == _oracle_image(dom, depth, res).tobytes()
+    assert domain_ppm(dom, depth, res) == ppm_bytes(_oracle_image(dom, depth, res))
 
 
 def test_domain_image_raises_as_the_oracle_does():

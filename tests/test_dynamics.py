@@ -252,8 +252,11 @@ def _newton_outcome(solve, *args):
 
 def test_newton_forward_matches_oracle_from_far_seeds():
     # seeds far from the solution: damped steps, failed line searches, and
-    # orbits that overflow to inf or NaN or past what abs() can return
+    # orbits that overflow to inf or NaN or past what abs() can return; the
+    # oracle lets that last OverflowError out, the solver reports it as a
+    # failed correction
     rng = random.Random(15)
+    failed = repr(PrecisionError("ray correction did not converge"))
     outcomes = set()
     for _ in range(3000):
         c = complex(rng.uniform(-2, 0.5), rng.uniform(-1.2, 1.2))
@@ -261,9 +264,11 @@ def test_newton_forward_matches_oracle_from_far_seeds():
         seed = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         target = complex(rng.uniform(-30, 30), rng.uniform(-30, 30))
         args = (c, seed, m, target)
-        got = _newton_outcome(dynamics._newton_forward, *args)
-        assert got == _newton_outcome(_oracle_newton_forward, *args), args
-        outcomes.add(got.split("(")[0])
+        want = _newton_outcome(_oracle_newton_forward, *args)
+        outcomes.add(want.split("(")[0])
+        if want.startswith("OverflowError"):
+            want = failed
+        assert _newton_outcome(dynamics._newton_forward, *args) == want, args
     assert outcomes >= {"PrecisionError", "OverflowError"}
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quaddyn.cantor import CircleInterval
+from quaddyn.cantor import CircleInterval, cover
+from quaddyn.cfrac import CFExpansion, parse_cf_text
 from quaddyn.combdomain import OmegaDomain, toy_sequences
 from quaddyn.dynamics import BORDERLINE, FAR, NEAR
 from quaddyn.errors import InvariantError
@@ -11,7 +12,9 @@ from quaddyn.imaging import (
     MAX_DOMAIN_RES,
     classification_image,
     cover_strip_image,
+    cover_strip_ppm,
     domain_image,
+    domain_ppm,
     ppm_bytes,
 )
 
@@ -60,6 +63,57 @@ def test_cover_strip_marks_arcs():
     left = rgb[18, 18]
     right = rgb[18, 630]
     assert not np.array_equal(left, right)
+
+
+def _oracle_cover_strip(arcs):
+    """The former numpy strip, kept as the oracle: a bool row of touched
+    columns, then an rgb fill of the whole strip."""
+    width, height = 720, 36
+    row = np.zeros(width, dtype=bool)
+    for arc in arcs:
+        lo = float(arc.lo % 1)
+        hi = lo + float(arc.width)
+        first = int(np.floor(lo * width))
+        last = int(np.ceil(hi * width))
+        for idx in range(first, last + 1):
+            row[idx % width] = True
+    rgb = np.full((height, width, 3), 245, dtype=np.uint8)
+    rgb[:, row] = (24, 32, 96)
+    return rgb
+
+
+@pytest.mark.parametrize(
+    "cf",
+    [CFExpansion((), (1,)), CFExpansion((), (2,)), parse_cf_text("1,2:rep=3"),
+     parse_cf_text("3:rep=1,2")],
+    ids=["golden", "silver", "1,2:rep=3", "3:rep=1,2"],
+)
+def test_cover_strip_matches_oracle(cf):
+    for depth in range(21):
+        arcs = cover(cf, depth).arcs
+        assert cover_strip_ppm(arcs) == ppm_bytes(_oracle_cover_strip(arcs)), depth
+
+
+def test_cover_strip_wrapping_arc_matches_oracle():
+    # one arc past 1 and one whose start rounds to the float 1.0
+    for arcs in (
+        [CircleInterval(Fraction(9, 10), Fraction(13, 10))],
+        [CircleInterval(Fraction(2**60 - 1, 2**60), Fraction(2**60 + 5, 2**60))],
+    ):
+        assert cover_strip_ppm(arcs) == ppm_bytes(_oracle_cover_strip(arcs))
+
+
+def test_array_images_are_read_only_views_of_their_bytes():
+    arcs = cover(CFExpansion((), (1,)), 6).arcs
+    dom = OmegaDomain(*toy_sequences())
+    for rgb, data in (
+        (cover_strip_image(arcs), cover_strip_ppm(arcs)),
+        (domain_image(dom, 3, 40), domain_ppm(dom, 3, 40)),
+    ):
+        assert not rgb.flags.writeable
+        assert ppm_bytes(rgb) == data
+        with pytest.raises(ValueError):
+            rgb[0, 0, 0] = 0
 
 
 def test_domain_image_deterministic():
