@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .angles import Angle
-from .cardioid import external_angle
+from .cardioid import _minus_angles, external_angle
 from .cfrac import CFExpansion
 from .errors import InvariantError, PrecisionError
 
@@ -39,7 +39,7 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 _MIN_PREC = 240  # starting bits of both orbits in semiconjugacy_check
-_Arcs = list[tuple[int, int]]  # (lo, width) numerators over one denominator
+_Arcs = list[tuple[int, int]]  # numerator pairs over one denominator
 
 
 @dataclass(frozen=True)
@@ -132,18 +132,40 @@ def build_arc(cf: CFExpansion, prec: int = 64) -> HalfCircleArc:
     coarse to certify that containment; alpha is interior, so a few extra
     bits always settle it.
     """
+    g_lo, g_hi, lo, width, den = _arc_numerators(cf, prec)
+    one = 1 << (prec + 2)
+    return HalfCircleArc(
+        low=CircleInterval(Fraction(g_lo, one), Fraction(g_hi, one)),
+        alpha=CircleInterval(Fraction(lo, den), Fraction(lo + width, den)),
+    )
+
+
+def _arc_numerators(cf: CFExpansion, prec: int) -> tuple[int, int, int, int, int]:
+    """build_arc on integers: (g_lo, g_hi, lo, width, den).
+
+    The low bracket is [g_lo, g_hi] over 2^(prec + 2) and the alpha bracket
+    [lo, lo + width] over den.  With n = prec + 2 and the external angle's
+    approximation a/m, m = 2^q - 1, the alpha bracket a/m -+ 2^(1-n) is
+    exact over den = m * 2^n, and rounding it outward to multiples of
+    2^-(prec + 1) is floor and ceiling division by 2m.  The checks and their
+    messages are build_arc's and HalfCircleArc's, on these numerators.
+    """
     if cf.is_rational:
         raise InvariantError("the Cantor construction needs an irrational angle")
     if prec < 4:
         raise InvariantError("need prec >= 4")
-    alpha = _alpha_bracket(cf, prec + 2)
-    scale = 1 << (prec + 1)
-    lo = Fraction((alpha.lo * scale).__floor__(), scale)
-    hi = Fraction((alpha.hi * scale).__ceil__(), scale)
-    if hi - lo > Fraction(1, 2**prec) * 2:
+    n = prec + 2
+    a, q = _minus_angles(cf, n)[-1]
+    m = (1 << q) - 1
+    den = m << n
+    lo, width = ((a << n) - 2 * m) % den, 4 * m
+    g_lo, g_hi = lo // (2 * m), -(-(lo + width) // (2 * m))
+    if g_hi - g_lo > 4:
         raise PrecisionError("alpha bracket wider than requested")
-    g_lo = (lo / 2) % 1
-    return HalfCircleArc(low=CircleInterval(g_lo, g_lo + (hi - lo) / 2), alpha=alpha)
+    rel = (lo - g_lo * m) % den  # from gamma's low end to alpha's, over den
+    if not ((g_hi - g_lo) * m < rel and 2 * (rel + width) < den):
+        raise PrecisionError("cannot certify the alpha bracket inside the arc")
+    return g_lo, g_hi, lo, width, den
 
 
 def membership(
@@ -208,23 +230,35 @@ def cover(cf: CFExpansion, depth: int, prec: int | None = None) -> CantorCover:
 
     Level zero is the allowed half circle itself (outer bracket); each
     refinement keeps the halves whose image stays covered, cut to the base
-    arc.  Halves of disjoint arcs are disjoint, so nothing needs merging.  No
-    arc wraps past 0: for the low bracket [gamma, gamma + w], build_arc
-    certifies rel + alpha.width < 1/2 with rel = alpha.lo - gamma >= gamma,
-    and w <= alpha.width = 2^-prec, so the base [gamma, gamma + 1/2 + w] and
-    the halves of any arc in it lie in [0, 1).  prec defaults to a schedule
-    that keeps the endpoint-bracket fattening far below the arc scale
-    2^-depth.  Endpoints are integers over one = 2^(prec + 2 + depth), where
-    every halving is exact: the base arc's endpoints are multiples of
-    2^-(prec + 2), and each generation halves once.
+    arc.  Halves of disjoint arcs are disjoint, so nothing needs merging.
+    prec defaults to a schedule that keeps the endpoint-bracket fattening
+    far below the arc scale 2^-depth.  The arcs are _cover_arcs's.
+    """
+    arcs, one = _cover_arcs(cf, depth, prec)
+    return CantorCover(
+        depth=depth,
+        arcs=tuple(CircleInterval(Fraction(a, one), Fraction(b, one)) for a, b in arcs),
+        hausdorff_bound=Fraction(1, 2**depth),
+    )
+
+
+def _cover_arcs(cf: CFExpansion, depth: int, prec: int | None = None) -> tuple[_Arcs, int]:
+    """cover's arcs as sorted (lo, hi) numerators over one, and one.
+
+    one = 2^(prec + 2 + depth), where every halving is exact: the base arc's
+    endpoints are multiples of 2^-(prec + 2), and each generation halves
+    once.  No arc wraps past 0: for the low bracket [gamma, gamma + w],
+    build_arc certifies rel + alpha.width < 1/2 with rel = alpha.lo - gamma
+    >= gamma, and w <= alpha.width = 2^-prec, so the base
+    [gamma, gamma + 1/2 + w] and the halves of any arc in it lie in [0, 1).
     """
     if depth < 0:
         raise InvariantError("cover depth must be nonnegative")
     if prec is None:
         prec = _default_prec(depth)
-    base = build_arc(cf, prec).outer_arc()
+    g_lo, g_hi = _arc_numerators(cf, prec)[:2]
     one = 1 << (prec + 2 + depth)
-    b_lo, b_hi = int(base.lo * one), int(base.hi * one)
+    b_lo, b_hi = g_lo << depth, (g_hi + (1 << (prec + 1))) << depth
     arcs = [(b_lo, b_hi)]
     for _ in range(depth):
         refined = []
@@ -234,11 +268,7 @@ def cover(cf: CFExpansion, depth: int, prec: int | None = None) -> CantorCover:
                 if m_hi > m_lo:
                     refined.append((m_lo, m_hi))
         arcs = sorted(refined)
-    return CantorCover(
-        depth=depth,
-        arcs=tuple(CircleInterval(Fraction(a, one), Fraction(b, one)) for a, b in arcs),
-        hausdorff_bound=Fraction(1, 2**depth),
-    )
+    return arcs, one
 
 
 def _alpha_orbit(cf: CFExpansion, count: int, prec: int) -> tuple[_Arcs, int]:

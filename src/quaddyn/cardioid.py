@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .angles import Angle, circle_distance, cyclic_sort, double
+from .angles import Angle, cyclic_sort, double
 from .cfrac import CFExpansion, _convergents
 from .errors import InvariantError, PrecisionError
 
@@ -53,12 +53,8 @@ def _rotation_word(p: int, q: int) -> int:
     point {k*p/q} lies in the wrap arc [1 - p/q, 1); the resulting word over
     2^q - 1 is an element of the unique cycle with rotation number p/q.
     """
-    word = 0
-    for k in range(q):
-        word <<= 1
-        if (k * p) % q >= q - p:
-            word |= 1
-    return word
+    wrap = q - p
+    return int("".join(["1" if k * p % q >= wrap else "0" for k in range(q)]), 2)
 
 
 def _shift_of(ordered: list, doubled: list) -> int | None:
@@ -166,6 +162,10 @@ def landing_pair(p: int, q: int) -> tuple[Angle, Angle]:
     return Angle(w - 1, modulus), Angle(w, modulus)
 
 
+# external_angle gives up after this many convergents
+_MAX_CONVERGENTS = 600
+
+
 @dataclass(frozen=True)
 class ExternalAngle:
     """Result of the external-angle computation at a cardioid internal angle.
@@ -199,24 +199,35 @@ def external_angle(cf: CFExpansion, n: int) -> ExternalAngle:
             iterates=(lo,),
             exact_pair=(lo, hi),
         )
-    threshold = Fraction(1, 2**n)
-    iterates: list[Angle] = []
-    prev: Angle | None = None
-    quotients = map(cf.quotient, range(600))
-    for pp, qq, _, _ in _convergents(quotients):
-        if pp >= qq:
-            # Only the first convergent 1/1 can do this; it is not a valid
-            # rotation number, so skip it.
+    iterates = tuple(Angle(a, (1 << q) - 1) for a, q in _minus_angles(cf, n))
+    return ExternalAngle(
+        approx=iterates[-1],
+        bound=Fraction(1, 2 ** (n - 1)),
+        iterates=iterates,
+    )
+
+
+def _minus_angles(cf: CFExpansion, n: int) -> list[tuple[int, int]]:
+    """external_angle's iterates for an irrational cf, as (a, q) for a/(2^q - 1).
+
+    Each is landing_pair(p, q)[0] for a convergent p/q, unreduced: the
+    convergents are in lowest terms with 0 < p < q once the first one, 1/1,
+    which is not a valid rotation number, is skipped.  For a/m and b/m_prev
+    the circle distance is min(d, m*m_prev - d)/(m*m_prev) with
+    d = |a*m_prev - b*m|, so the stopping rule compares integers.
+    """
+    iterates: list[tuple[int, int]] = []
+    for p, q, _, _ in _convergents(map(cf.quotient, range(_MAX_CONVERGENTS))):
+        if p >= q:
             continue
-        current = landing_pair(pp, qq)[0]
-        iterates.append(current)
-        if prev is not None and circle_distance(current, prev) < threshold:
-            return ExternalAngle(
-                approx=current,
-                bound=Fraction(1, 2 ** (n - 1)),
-                iterates=tuple(iterates),
-            )
-        prev = current
+        a = (_rotation_word(p, q) << 1) - 1
+        iterates.append((a, q))
+        if len(iterates) > 1:
+            b, r = iterates[-2]
+            m, m_prev = (1 << q) - 1, (1 << r) - 1
+            d = abs(a * m_prev - b * m)
+            if min(d, m * m_prev - d) << n < m * m_prev:
+                return iterates
     raise PrecisionError(
-        "stopping rule did not fire within 600 convergents"
+        f"stopping rule did not fire within {_MAX_CONVERGENTS} convergents"
     )

@@ -31,9 +31,12 @@ _DEFAULT_PREC = {
     "angle": 64, "brjuno": 128, "cf": 64, "radius": 256, "ratio-experiment": 256
 }
 
-# ceilings of two knobs whose cost grows faster than linearly (see README)
+# ceilings of the knobs whose cost grows faster than linearly (see README)
 MAX_CANTOR_DEPTH = 1000
 MAX_CF_COUNT = 10_000
+MAX_ANGLE_STEPS = 100_000
+MAX_ANGLE_PREC = 16_384  # of angle --cf
+MAX_ORBIT_PERIOD = 4096  # the q of orbit --pq
 
 
 def _resolve_prec(args: argparse.Namespace) -> int | None:
@@ -116,6 +119,8 @@ def _run_angle(args) -> dict:
     from .angles import Angle, double
 
     if args.cf is not None:
+        if args.prec > MAX_ANGLE_PREC:
+            raise InvariantError(f"precision must be at most {MAX_ANGLE_PREC} bits with --cf")
         from .cardioid import external_angle
         from .cfrac import parse_cf_text
 
@@ -132,6 +137,8 @@ def _run_angle(args) -> dict:
         return {"angle.json": doc}
     if args.steps < 0:
         raise InvariantError(f"--steps must be >= 0, got {args.steps}")
+    if args.steps > MAX_ANGLE_STEPS:
+        raise InvariantError(f"--steps must be at most {MAX_ANGLE_STEPS}")
     a = Angle(_parse_fraction(args.value))
     orbit = [a]
     for _ in range(args.steps):
@@ -149,6 +156,8 @@ def _run_orbit(args) -> dict:
     from .cardioid import find_orbit
 
     p, q = _parse_pq(args.pq)
+    if q > MAX_ORBIT_PERIOD:
+        raise InvariantError(f"the period q of --pq must be at most {MAX_ORBIT_PERIOD}")
     orbit = find_orbit(p, q)
     doc = {
         "rotation": f"{p}/{q}",
@@ -167,24 +176,38 @@ def _run_landing_pair(args) -> dict:
     return {"landing-pair.json": doc}
 
 
+def _dyadic_str(num: int, one: int) -> str:
+    """str(Fraction(num, one)) for one a power of two: the gcd is a power of
+    two too, so reducing strips common trailing zero bits."""
+    shift = one.bit_length() - 1
+    if num:
+        shift = min(shift, (num & -num).bit_length() - 1)
+    num, one = num >> shift, one >> shift
+    return f"{num}/{one}" if one > 1 else str(num)
+
+
 def _run_cantor(args) -> dict:
     if args.depth > MAX_CANTOR_DEPTH:
         raise InvariantError(f"--depth must be at most {MAX_CANTOR_DEPTH}")
-    from .cantor import cover
+    from .cantor import _cover_arcs
     from .imaging import cover_strip_ppm
 
     cf = _cf_from_args(args)
-    result = cover(cf, args.depth, prec=args.prec)
+    arcs, one = _cover_arcs(cf, args.depth, prec=args.prec)
+    # the arcs are what cantor.cover returns as CircleIntervals, whose
+    # invariants are checked here on the numerators
+    if not all(0 <= lo < one and lo <= hi <= lo + one for lo, hi in arcs):
+        raise InvariantError("cover arc is not a normalized circle arc")
     doc = {
-        "depth": result.depth,
-        "arc_count": len(result.arcs),
-        "total_length": str(result.total_length()),
-        "hausdorff_bound": str(result.hausdorff_bound),
-        "arcs": [{"lo": str(a.lo), "hi": str(a.hi)} for a in result.arcs],
+        "depth": args.depth,
+        "arc_count": len(arcs),
+        "total_length": _dyadic_str(sum(hi - lo for lo, hi in arcs), one),
+        "hausdorff_bound": _dyadic_str(1, 1 << args.depth),
+        "arcs": [{"lo": _dyadic_str(lo, one), "hi": _dyadic_str(hi, one)} for lo, hi in arcs],
     }
     return {
         "cantor-cover.json": doc,
-        "cantor-cover.ppm": cover_strip_ppm(result.arcs),
+        "cantor-cover.ppm": cover_strip_ppm(arcs, one),
     }
 
 
@@ -629,7 +652,7 @@ def _main(argv: "list[str] | None") -> int:
     for name, content in artifacts.items():
         if isinstance(content, dict):
             doc = content
-            content = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            content = text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         if isinstance(content, str):
             content = content.encode()
         (out_dir / name).write_bytes(content)
@@ -647,7 +670,7 @@ def _main(argv: "list[str] | None") -> int:
     )
 
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        sys.stdout.write(text)  # the JSON artifact's text
     else:
         names = ", ".join(rec["name"] for rec in records)
         print(f"{args.command}: wrote {names} in {out_dir}")

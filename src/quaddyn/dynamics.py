@@ -233,6 +233,10 @@ def _newton_forward(c: complex, seed: complex, m: int, target: complex) -> compl
     floats it would compute: the next z is the trial point, made by the
     same expression z - scale * step, and _orbit computes both.  Shorter
     trials need no derivative, and a NaN orbit fails acceptance as before.
+
+    A trial point equal to z ends the solve as failed: its orbit is value
+    itself, which the strict test refuses, and as rounding is monotone every
+    shorter trial equals z too.
     """
     z = seed
     with suppress(OverflowError):  # an orbit past what abs() can return
@@ -246,11 +250,14 @@ def _newton_forward(c: complex, seed: complex, m: int, target: complex) -> compl
             step = err / deriv
             scale = 1.0
             base = abs(err)
-            value2, deriv2 = _orbit(c, z - scale * step, m)
+            trial = z - scale * step
+            if trial == z:
+                break
+            value2, deriv2 = _orbit(c, trial, m)
             if not abs(value2 - target) < base:  # a NaN orbit is refused too
                 scale /= 2
-                while scale > 2.0**-8:
-                    value2 = z - scale * step
+                while scale > 2.0**-8 and (trial := z - scale * step) != z:
+                    value2 = trial
                     for _ in range(m):
                         value2 = value2 * value2 + c
                     if abs(value2 - target) < base:
@@ -258,7 +265,7 @@ def _newton_forward(c: complex, seed: complex, m: int, target: complex) -> compl
                     scale /= 2
                 else:
                     break
-            z = z - scale * step
+            z = trial
             if abs(scale * step) < 1e-14 * (1 + abs(z)):
                 return z
             value, deriv = (value2, deriv2) if scale == 1.0 else _orbit(c, z, m)

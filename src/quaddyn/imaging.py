@@ -47,22 +47,27 @@ def classification_image(cells):
     return palette[cells[::-1]]
 
 
-def cover_strip_ppm(arcs) -> bytes:
-    """Circle arcs as dark bands on a 720x36 horizontal [0,1) strip, as P6."""
+def cover_strip_ppm(arcs, one: int) -> bytes:
+    """Circle arcs [lo/one, hi/one], given as integer numerator pairs, as dark
+    bands on a 720x36 horizontal [0,1) strip, as P6.
+
+    Integer true division rounds correctly, so a/one is the float that
+    float(Fraction(a, one)) gives.
+    """
     width, height = 720, 36
     row = bytearray(_LIGHT * width)
-    for arc in arcs:
-        lo = float(arc.lo % 1)
-        hi = lo + float(arc.width)
-        for idx in range(math.floor(lo * width), math.ceil(hi * width) + 1):
+    for lo, hi in arcs:
+        start = lo % one / one
+        stop = start + (hi - lo) / one
+        for idx in range(math.floor(start * width), math.ceil(stop * width) + 1):
             col = 3 * (idx % width)
             row[col : col + 3] = _DARK
     return _HEADER % (width, height) + bytes(row) * height
 
 
-def cover_strip_image(arcs):
+def cover_strip_image(arcs, one: int):
     """cover_strip_ppm as a read-only (36, 720, 3) uint8 array."""
-    return _rgb_view(cover_strip_ppm(arcs), 720, 36)
+    return _rgb_view(cover_strip_ppm(arcs, one), 720, 36)
 
 
 # largest domain_ppm side; omega at this size takes about 0.35 s and 69 MB

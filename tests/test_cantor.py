@@ -10,10 +10,13 @@ import pytest
 
 from quaddyn.angles import Angle
 from quaddyn.cantor import (
+    CantorCover,
     CircleInterval,
+    HalfCircleArc,
     Membership,
     SemiconjugacyReport,
     _alpha_bracket,
+    _cover_arcs,
     _cyclic_order,
     _first_rank_mismatch,
     _neighbours_meet,
@@ -69,6 +72,47 @@ def _oracle_intersect(arc, other):
         if lo <= hi:
             return CircleInterval(lo % 1, lo % 1 + (hi - lo))
     return None
+
+
+def _oracle_build_arc(cf, prec=64):
+    """build_arc on the Fraction alpha bracket, as before _arc_numerators."""
+    if cf.is_rational:
+        raise InvariantError("the Cantor construction needs an irrational angle")
+    if prec < 4:
+        raise InvariantError("need prec >= 4")
+    alpha = _alpha_bracket(cf, prec + 2)
+    scale = 1 << (prec + 1)
+    lo = Fraction((alpha.lo * scale).__floor__(), scale)
+    hi = Fraction((alpha.hi * scale).__ceil__(), scale)
+    if hi - lo > Fraction(1, 2**prec) * 2:
+        raise PrecisionError("alpha bracket wider than requested")
+    g_lo = (lo / 2) % 1
+    return HalfCircleArc(low=CircleInterval(g_lo, g_lo + (hi - lo) / 2), alpha=alpha)
+
+
+def _oracle_cover(cf, depth, prec=None):
+    """cover as before _cover_arcs: the base arc from _oracle_build_arc."""
+    if depth < 0:
+        raise InvariantError("cover depth must be nonnegative")
+    if prec is None:
+        prec = 2 * depth + 24
+    base = _oracle_build_arc(cf, prec).outer_arc()
+    one = 1 << (prec + 2 + depth)
+    b_lo, b_hi = int(base.lo * one), int(base.hi * one)
+    arcs = [(b_lo, b_hi)]
+    for _ in range(depth):
+        refined = []
+        for lo, hi in arcs:
+            for h_lo, h_hi in ((lo >> 1, hi >> 1), ((lo + one) >> 1, (hi + one) >> 1)):
+                m_lo, m_hi = max(h_lo, b_lo), min(h_hi, b_hi)
+                if m_hi > m_lo:
+                    refined.append((m_lo, m_hi))
+        arcs = sorted(refined)
+    return CantorCover(
+        depth=depth,
+        arcs=tuple(CircleInterval(Fraction(a, one), Fraction(b, one)) for a, b in arcs),
+        hausdorff_bound=Fraction(1, 2**depth),
+    )
 
 
 def _oracle_dense_orbit(cf, count, prec=240):
@@ -275,7 +319,7 @@ def test_cover_arcs_disjoint_and_sorted():
 def _merging_cover_oracle(cf, depth, prec):
     """Arcs of the refinement loop that also merges overlapping arcs and the
     arcs meeting across 0; cover leaves both merges out, as they cannot fire."""
-    base = build_arc(cf, prec).outer_arc()
+    base = _oracle_build_arc(cf, prec).outer_arc()
     arcs = [base]
     for _ in range(depth):
         refined = []
@@ -310,13 +354,42 @@ def test_cover_matches_merging_oracle():
                 assert len(arcs) == 1 or arcs[-1].hi - 1 < arcs[0].lo
 
 
+# the angles of the integer-core sweep: two put gamma within 2^-11 of 1/2
+NEAR_HALF = [CFExpansion((1, 8), (2,)), CFExpansion((1,), (12, 1))]
+SWEEP_PRECS = [None, *range(4, 41)]
+
+
+def test_build_arc_matches_fraction_oracle():
+    errors = set()
+    for cf in _oracle_angles() + NEAR_HALF + [cf_expand(Fraction(2, 7))]:
+        for prec in [-1, 0, 3, *SWEEP_PRECS[1:], 64, 200]:
+            got = _outcome(build_arc, cf, prec)
+            assert got == _outcome(_oracle_build_arc, cf, prec), (cf, prec)
+            if isinstance(got, tuple):
+                errors.add(got)
+    # the rational angle, prec below 4, and uncertified brackets
+    assert len(errors) == 3
+
+
+def test_cover_matches_fraction_oracle():
+    for cf in _oracle_angles() + NEAR_HALF:
+        for depth in range(-1, 15):
+            for prec in SWEEP_PRECS:
+                got = _outcome(cover, cf, depth, prec)
+                assert got == _outcome(_oracle_cover, cf, depth, prec), (cf, depth, prec)
+                if not isinstance(got, tuple):
+                    arcs, one = _cover_arcs(cf, depth, prec)
+                    assert got.arcs == tuple(
+                        CircleInterval(Fraction(a, one), Fraction(b, one)) for a, b in arcs
+                    )
+
+
 def test_certified_base_arc_does_not_wrap():
     # cover meets each half with the base arc [gamma, gamma + 1/2 + w] only,
     # never with a turn of it, because gamma + w < 1/2 for every certified
     # arc; the two extra angles put gamma within 2^-11 of 1/2
-    near_half = [CFExpansion((1, 8), (2,)), CFExpansion((1,), (12, 1))]
     certified = 0
-    for cf in _oracle_angles() + near_half:
+    for cf in _oracle_angles() + NEAR_HALF:
         for prec in range(4, 41):
             try:
                 arc = build_arc(cf, prec)
@@ -325,7 +398,7 @@ def test_certified_base_arc_does_not_wrap():
             certified += 1
             assert arc.low.lo + arc.low.width < Fraction(1, 2), (cf, prec)
     assert certified > 400
-    for cf in near_half:
+    for cf in NEAR_HALF:
         for depth in range(13):
             assert cover(cf, depth).arcs == _merging_cover_oracle(cf, depth, 2 * depth + 24)
 

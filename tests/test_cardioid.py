@@ -1,21 +1,25 @@
 """Doubling-map orbit search, rotation numbers, landing pairs, and the
 convergent-Cauchy external angle."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from quaddyn import cardioid
 from quaddyn.angles import Angle, circle_distance, double
 from quaddyn.cardioid import (
+    ExternalAngle,
+    _rotation_word,
     external_angle,
     find_orbit,
     landing_pair,
     rotation_number,
     scan_orbits,
 )
-from quaddyn.cfrac import CFExpansion, cf_expand
-from quaddyn.errors import InvariantError
+from quaddyn.cfrac import CFExpansion, _convergents, cf_expand
+from quaddyn.errors import InvariantError, PrecisionError
 
 GOLDEN = CFExpansion((), (1,))
 
@@ -139,3 +143,90 @@ def test_external_angle_stopping_rule_consistency():
     result = external_angle(GOLDEN, 16)
     last_two = result.iterates[-2:]
     assert circle_distance(last_two[0], last_two[1]) < Fraction(1, 2**16)
+
+
+# -- Fraction oracle: the former external_angle loop, which built an Angle
+# -- for every landing pair and compared them with circle_distance
+
+
+def _oracle_rotation_word(p, q):
+    word = 0
+    for k in range(q):
+        word <<= 1
+        if (k * p) % q >= q - p:
+            word |= 1
+    return word
+
+
+def _oracle_external_angle(cf, n, max_convergents=600):
+    if n < 1:
+        raise InvariantError("accuracy exponent must be >= 1")
+    if cf.is_rational:
+        value = cf.as_fraction()
+        lo, hi = landing_pair(value.numerator, value.denominator)
+        return ExternalAngle(approx=lo, bound=Fraction(0), iterates=(lo,), exact_pair=(lo, hi))
+    threshold = Fraction(1, 2**n)
+    iterates = []
+    prev = None
+    for pp, qq, _, _ in _convergents(map(cf.quotient, range(max_convergents))):
+        if pp >= qq:
+            continue
+        current = Angle((_oracle_rotation_word(pp, qq) << 1) - 1, 2**qq - 1)
+        iterates.append(current)
+        if prev is not None and circle_distance(current, prev) < threshold:
+            return ExternalAngle(
+                approx=current, bound=Fraction(1, 2 ** (n - 1)), iterates=tuple(iterates)
+            )
+        prev = current
+    raise PrecisionError(f"stopping rule did not fire within {max_convergents} convergents")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InvariantError, PrecisionError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _sweep_angles():
+    """Golden, silver, large quotients, and twelve seeded expansions."""
+    rng = random.Random(18)
+    angles = [GOLDEN, CFExpansion((), (2,)), CFExpansion((1,), (20,)), CFExpansion((), (9, 1))]
+    for _ in range(12):
+        pre = tuple(rng.randint(1, 12) for _ in range(rng.randint(0, 4)))
+        per = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 3)))
+        angles.append(CFExpansion(pre, per))
+    return angles
+
+
+def test_rotation_word_matches_shift_loop():
+    for q in range(2, 90):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                assert _rotation_word(p, q) == _oracle_rotation_word(p, q), (p, q)
+    for p, q in [(6765, 10946), (1, 4096), (1234, 4095), (46367, 46368)]:
+        assert _rotation_word(p, q) == _oracle_rotation_word(p, q), (p, q)
+
+
+def test_external_angle_matches_fraction_oracle():
+    rationals = [cf_expand(Fraction(p, q)) for p, q in [(1, 2), (2, 5), (13, 21)]]
+    for cf in _sweep_angles() + rationals:
+        for n in range(-1, 81):
+            got = _outcome(external_angle, cf, n)
+            assert got == _outcome(_oracle_external_angle, cf, n), (cf, n)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 5, 8])
+def test_external_angle_gives_up_as_the_oracle_does(monkeypatch, limit):
+    monkeypatch.setattr(cardioid, "_MAX_CONVERGENTS", limit)
+    failures = 0
+    for cf in _sweep_angles():
+        for n in (1, 8, 40, 80):
+            got = _outcome(external_angle, cf, n)
+            assert got == _outcome(_oracle_external_angle, cf, n, limit), (cf, n)
+            failures += got == ("PrecisionError", f"stopping rule did not fire within {limit} convergents")
+    assert failures > 0
+    assert _outcome(_oracle_external_angle, GOLDEN, 80, 5) == (
+        "PrecisionError",
+        "stopping rule did not fire within 5 convergents",
+    )

@@ -3,6 +3,8 @@ and byte-level determinism."""
 
 import hashlib
 import json
+import math
+import random
 import re
 import shlex
 import sys
@@ -12,8 +14,10 @@ import pytest
 
 from quaddyn import acceptance, cli
 from quaddyn.acceptance import CriterionResult
+from quaddyn.cantor import cover
 from quaddyn.cardioid import landing_pair
 from quaddyn.cli import _HANDLERS, main
+from quaddyn.errors import InvariantError, PrecisionError
 
 
 def _run(capsys, argv):
@@ -349,17 +353,33 @@ def test_omega_resolution_ceiling_exits_4(tmp_path, capsys, res):
          f"--count must be at most {cli.MAX_CF_COUNT}"),
         (["cf", "--cf", "1:rep=1", "--count", "100000000"],
          f"--count must be at most {cli.MAX_CF_COUNT}"),
+        (["angle", "--value", "3/7", "--steps", str(cli.MAX_ANGLE_STEPS + 1)],
+         f"--steps must be at most {cli.MAX_ANGLE_STEPS}"),
+        (["angle", "--value", "3/7", "--steps", "100000000"],
+         f"--steps must be at most {cli.MAX_ANGLE_STEPS}"),
+        (["angle", "--cf", "1:rep=1", "--prec", str(cli.MAX_ANGLE_PREC + 1)],
+         f"precision must be at most {cli.MAX_ANGLE_PREC} bits with --cf"),
+        (["angle", "--cf", "1:rep=1", "--prec", "10000000"],
+         f"precision must be at most {cli.MAX_ANGLE_PREC} bits with --cf"),
+        (["orbit", "--pq", f"1/{cli.MAX_ORBIT_PERIOD + 1}"],
+         f"the period q of --pq must be at most {cli.MAX_ORBIT_PERIOD}"),
+        (["orbit", "--pq", "1/100000"],
+         f"the period q of --pq must be at most {cli.MAX_ORBIT_PERIOD}"),
     ],
-    ids=["cantor-depth", "cf-count", "cf-count-1e8"],
+    ids=["cantor-depth", "cf-count", "cf-count-1e8", "angle-steps", "angle-steps-1e8",
+         "angle-prec", "angle-prec-1e7", "orbit-q", "orbit-q-1e5"],
 )
 def test_size_ceilings_exit_4_before_computing(tmp_path, capsys, monkeypatch, argv, message):
-    from quaddyn import cantor, cfrac
+    from quaddyn import angles, cantor, cardioid, cfrac
 
     def refuse(*args, **kwargs):
         raise AssertionError("computation started above the ceiling")
 
-    monkeypatch.setattr(cantor, "cover", refuse)
+    monkeypatch.setattr(cantor, "_cover_arcs", refuse)
     monkeypatch.setattr(cfrac, "convergents", refuse)
+    monkeypatch.setattr(angles, "double", refuse)
+    monkeypatch.setattr(cardioid, "external_angle", refuse)
+    monkeypatch.setattr(cardioid, "find_orbit", refuse)
     out_dir = tmp_path / "out"
     code, out, err = _run(capsys, argv + ["--out", str(out_dir), "--json"])
     assert (code, out) == (4, "")
@@ -579,6 +599,124 @@ def test_float_artifacts_frozen(tmp_path, capsys, argv, name, sha256):
     code, _, _ = _run(capsys, [*argv, "--out", str(tmp_path)])
     assert code == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha256
+
+
+# sha256 of cantor's artifacts, recorded before its integer core
+CANTOR_ARTIFACTS = [
+    (["--cf", "1:rep=1", "--depth", "8"],
+     "43430b56f06fd5dbe921725a45e5621b965c44780a2a42bf40a4694807491c0d",
+     "5017e52cdb3988107d67721f172fa1683d6ee51b0f9d15babf722e2e10e3f6a8"),
+    (["--cf", "1:rep=1", "--depth", "20"],
+     "dbf236292a25f9bc5071904fc4b3d8b66e6d4ced508888065de0681930b7d223",
+     "5017e52cdb3988107d67721f172fa1683d6ee51b0f9d15babf722e2e10e3f6a8"),
+    (["--cf", "1,2:rep=3", "--depth", "14", "--prec", "40"],
+     "c46aa45797650053aae2ad02a24871f2de1129e2c28fcde60aa702d7c3dd449f",
+     "89312d5eb9fbb960547a6a75d83bac0cf4a3d7e434d303134e48228d25202f42"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, json_sha256, ppm_sha256",
+    [pytest.param(*row, id=" ".join(row[0])) for row in CANTOR_ARTIFACTS],
+)
+def test_cantor_artifacts_frozen(tmp_path, capsys, argv, json_sha256, ppm_sha256):
+    code, _, _ = _run(capsys, ["cantor", *argv, "--out", str(tmp_path)])
+    assert code == 0
+    for name, sha256 in (("cantor-cover.json", json_sha256), ("cantor-cover.ppm", ppm_sha256)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha256
+
+
+def _former_cantor(argv):
+    """The cantor handler before the integer core, as written bytes: the
+    strings come from cover()'s Fractions and the strip from float(Fraction)."""
+    args = cli.build_parser().parse_args(argv)
+    args.prec = cli._resolve_prec(args)
+    result = cover(cli._cf_from_args(args), args.depth, prec=args.prec)
+    doc = {
+        "depth": result.depth,
+        "arc_count": len(result.arcs),
+        "total_length": str(result.total_length()),
+        "hausdorff_bound": str(result.hausdorff_bound),
+        "arcs": [{"lo": str(a.lo), "hi": str(a.hi)} for a in result.arcs],
+    }
+    row = bytearray(bytes((245, 245, 245)) * 720)
+    for arc in result.arcs:
+        lo = float(arc.lo % 1)
+        hi = lo + float(arc.width)
+        for idx in range(math.floor(lo * 720), math.ceil(hi * 720) + 1):
+            row[3 * (idx % 720) : 3 * (idx % 720) + 3] = bytes((24, 32, 96))
+    return {
+        "cantor-cover.json": (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(),
+        "cantor-cover.ppm": b"P6\n720 36\n255\n" + bytes(row) * 36,
+    }
+
+
+def _cantor_sweep():
+    """Seeded cantor argvs: twelve angles, depth 0-14, --prec 4-40 or the default."""
+    rng = random.Random(18)
+    angles = ["1:rep=1", "2:rep=2", ":rep=1,2", "3:rep=1", "1,8:rep=2", "1:rep=12,1"]
+    for _ in range(6):
+        pre = ",".join(str(rng.randint(1, 6)) for _ in range(rng.randint(0, 3)))
+        per = ",".join(str(rng.randint(1, 6)) for _ in range(rng.randint(1, 3)))
+        angles.append(f"{pre}:rep={per}")
+    argvs = []
+    for _ in range(300):
+        argv = ["cantor", "--cf", rng.choice(angles), "--depth", str(rng.randint(0, 14))]
+        prec = rng.choice([None, *range(4, 41)])
+        argvs.append(argv if prec is None else argv + ["--prec", str(prec)])
+    return argvs
+
+
+def test_cantor_matches_former_handler(tmp_path, capsys):
+    codes = []
+    for i, argv in enumerate(_cantor_sweep()):
+        out_dir = tmp_path / str(i)
+        code, _, err = _run(capsys, argv + ["--out", str(out_dir)])
+        codes.append(code)
+        try:
+            want = _former_cantor(argv)
+        except (InvariantError, PrecisionError) as exc:
+            kind = type(exc).__name__
+            assert code == {"InvariantError": 4, "PrecisionError": 3}[kind], argv
+            assert json.loads(err) == {"error": kind, "message": str(exc)}, argv
+            assert not out_dir.exists()
+            continue
+        assert code == 0, argv
+        assert {name: (out_dir / name).read_bytes() for name in want} == want, argv
+    assert codes.count(0) > 200 and codes.count(3) > 5
+
+
+# one cheap call of each subcommand
+JSON_ARGVS = [
+    ["angle", "--cf", "1:rep=1", "--prec", "16"],
+    ["angle", "--value", "3/7", "--steps", "4"],
+    ["orbit", "--pq", "2/5"],
+    ["landing-pair", "--pq", "3/5"],
+    ["cantor", "--cf", "1:rep=1", "--depth", "4"],
+    ["brjuno", "--cf", "1:rep=1", "--terms", "10"],
+    ["cf", "--value", "113/355"],
+    ["radius", "--cf", "1:rep=1", "--order", "32"],
+    ["ratio-experiment", "--prefix", "1,1", "--n", "3..4", "--order", "32"],
+    ["julia", "--c", "-1,0", "--res", "3"],
+    ["ray", "--c", "0", "--angle", "1/3", "--tmin", "0.01"],
+    ["omega", "--depth", "2", "--res", "16"],
+    ["lavrentiev", "--count", "3"],
+    ["accept"],
+]
+
+
+def test_json_argvs_cover_every_command():
+    assert {argv[0] for argv in JSON_ARGVS} == set(_HANDLERS)
+
+
+@pytest.mark.parametrize("argv", JSON_ARGVS, ids=[" ".join(a) for a in JSON_ARGVS])
+def test_json_stdout_is_the_artifact_text(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(acceptance, "run_all", _fake_results)
+    code, out, err = _run(capsys, argv + ["--out", str(tmp_path), "--json"])
+    assert code == (1 if argv[0] == "accept" else 0), err
+    manifest = json.loads((tmp_path / f"{argv[0]}-manifest.json").read_text())
+    [name] = [rec["name"] for rec in manifest["artifacts"] if rec["name"].endswith(".json")]
+    assert out == (tmp_path / name).read_text()
 
 
 def test_huge_float_angle_reduces_mod_1(tmp_path, capsys):

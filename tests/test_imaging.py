@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quaddyn.cantor import CircleInterval, cover
+from quaddyn.cantor import CircleInterval, _cover_arcs, cover
 from quaddyn.cfrac import CFExpansion, parse_cf_text
 from quaddyn.combdomain import OmegaDomain, toy_sequences
 from quaddyn.dynamics import BORDERLINE, FAR, NEAR
@@ -57,8 +58,7 @@ def test_classification_ppm_matches_masked_oracle(shape):
 
 
 def test_cover_strip_marks_arcs():
-    arcs = [CircleInterval(Fraction(0), Fraction(1, 4))]
-    rgb = cover_strip_image(arcs)
+    rgb = cover_strip_image([(0, 1)], 4)  # the arc [0, 1/4]
     assert rgb.shape == (36, 720, 3)
     left = rgb[18, 18]
     right = rgb[18, 630]
@@ -90,8 +90,8 @@ def _oracle_cover_strip(arcs):
 )
 def test_cover_strip_matches_oracle(cf):
     for depth in range(21):
-        arcs = cover(cf, depth).arcs
-        assert cover_strip_ppm(arcs) == ppm_bytes(_oracle_cover_strip(arcs)), depth
+        want = ppm_bytes(_oracle_cover_strip(cover(cf, depth).arcs))
+        assert cover_strip_ppm(*_cover_arcs(cf, depth)) == want, depth
 
 
 def test_cover_strip_wrapping_arc_matches_oracle():
@@ -100,14 +100,16 @@ def test_cover_strip_wrapping_arc_matches_oracle():
         [CircleInterval(Fraction(9, 10), Fraction(13, 10))],
         [CircleInterval(Fraction(2**60 - 1, 2**60), Fraction(2**60 + 5, 2**60))],
     ):
-        assert cover_strip_ppm(arcs) == ppm_bytes(_oracle_cover_strip(arcs))
+        one = math.lcm(*(x.denominator for arc in arcs for x in (arc.lo, arc.hi)))
+        numerators = [(int(arc.lo * one), int(arc.hi * one)) for arc in arcs]
+        assert cover_strip_ppm(numerators, one) == ppm_bytes(_oracle_cover_strip(arcs))
 
 
 def test_array_images_are_read_only_views_of_their_bytes():
-    arcs = cover(CFExpansion((), (1,)), 6).arcs
+    arcs, one = _cover_arcs(CFExpansion((), (1,)), 6)
     dom = OmegaDomain(*toy_sequences())
     for rgb, data in (
-        (cover_strip_image(arcs), cover_strip_ppm(arcs)),
+        (cover_strip_image(arcs, one), cover_strip_ppm(arcs, one)),
         (domain_image(dom, 3, 40), domain_ppm(dom, 3, 40)),
     ):
         assert not rgb.flags.writeable
