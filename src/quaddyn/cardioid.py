@@ -25,6 +25,7 @@ __all__ = [
     "landing_pair",
     "external_angle",
     "ExternalAngle",
+    "MAX_PERIOD",
 ]
 
 
@@ -46,13 +47,22 @@ def _validate_pq(p: int, q: int) -> None:
         raise InvariantError(f"rotation number {p}/{q} is not in lowest terms")
 
 
+# largest period q of a rotation word: at the ceiling `landing-pair` takes
+# about 3.5 s and 30 MB and `angle --cf 1048576 --prec 16` 6.4 s, nearly all
+# of it the decimal strings of the q-bit numerators, whose cost grows as q^2
+MAX_PERIOD = 2**20
+
+
 def _rotation_word(p: int, q: int) -> int:
     """Numerator of one cycle element, as a q-bit word.
 
     Bit k (most significant first) records whether the rigid rotation orbit
     point {k*p/q} lies in the wrap arc [1 - p/q, 1); the resulting word over
     2^q - 1 is an element of the unique cycle with rotation number p/q.
+    Periods above MAX_PERIOD are refused before the word is built.
     """
+    if q > MAX_PERIOD:
+        raise InvariantError(f"period {q} is above the ceiling {MAX_PERIOD}")
     wrap = q - p
     return int("".join(["1" if k * p % q >= wrap else "0" for k in range(q)]), 2)
 

@@ -4,6 +4,9 @@ The convention throughout is x = 1/(r1 + 1/(r2 + ...)) for x in (0, 1); there
 is no integer part.  Finite expansions are kept canonical (last quotient >= 2
 once the length exceeds one) so that equal values have equal expansions.
 Eventually periodic expansions evaluate exactly as quadratic surds.
+
+mpmath is imported inside value_mpf and brjuno_partial_sums, its only
+users, so the exact commands start without it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence
-
-from mpmath import mp
 
 from .errors import InvariantError, PrecisionError
 
@@ -148,6 +149,8 @@ class CFExpansion:
 
     def value_mpf(self, prec_bits: int = 128):
         """Evaluate to an mpf at the requested binary precision."""
+        from mpmath import mp
+
         a, b, c, d = self.surd()
         with mp.workprec(prec_bits + 16):
             val = (mp.mpf(a) + mp.mpf(b) * mp.sqrt(d)) / c
@@ -227,6 +230,8 @@ def gauss_orbit(cf: CFExpansion, n: int, prec_bits: int = 128) -> list:
 
 def brjuno_partial_sums(cf: CFExpansion, terms: int, prec_bits: int = 128) -> list:
     """Partial sums of sum_n theta_1*...*theta_{n-1} * log(1/theta_n)."""
+    from mpmath import mp
+
     thetas = gauss_orbit(cf, terms, prec_bits + 16)
     sums = []
     with mp.workprec(prec_bits + 16):

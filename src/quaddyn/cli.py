@@ -31,12 +31,20 @@ _DEFAULT_PREC = {
     "angle": 64, "brjuno": 128, "cf": 64, "radius": 256, "ratio-experiment": 256
 }
 
-# ceilings of the knobs whose cost grows faster than linearly (see README)
+# ceilings of the size knobs, each from a measured cost (see README)
 MAX_CANTOR_DEPTH = 1000
 MAX_CF_COUNT = 10_000
 MAX_ANGLE_STEPS = 100_000
 MAX_ANGLE_PREC = 16_384  # of angle --cf
 MAX_ORBIT_PERIOD = 4096  # the q of orbit --pq
+MAX_BRJUNO_TERMS = 10_000
+MAX_RADIUS_ORDER = 1024
+MAX_LAVRENTIEV_COUNT = 4096
+MAX_CF_PREC = 16_384
+# of angle --value: (steps + 1) * bits * (1 + bits // 8192) for a denominator
+# of `bits` bits; a step costs about 16 ns a bit, and the decimal strings add
+# the quadratic term past about 8192 bits
+MAX_ANGLE_VALUE_COST = 2**25
 
 
 def _resolve_prec(args: argparse.Namespace) -> int | None:
@@ -140,6 +148,13 @@ def _run_angle(args) -> dict:
     if args.steps > MAX_ANGLE_STEPS:
         raise InvariantError(f"--steps must be at most {MAX_ANGLE_STEPS}")
     a = Angle(_parse_fraction(args.value))
+    bits = a.denominator.bit_length()
+    cost = (args.steps + 1) * bits * (1 + bits // 8192)
+    if cost > MAX_ANGLE_VALUE_COST:
+        raise InvariantError(
+            f"--steps with a {bits}-bit denominator costs {cost}, "
+            f"above the budget {MAX_ANGLE_VALUE_COST}"
+        )
     orbit = [a]
     for _ in range(args.steps):
         orbit.append(double(orbit[-1]))
@@ -212,6 +227,8 @@ def _run_cantor(args) -> dict:
 
 
 def _run_brjuno(args) -> dict:
+    if args.terms > MAX_BRJUNO_TERMS:
+        raise InvariantError(f"--terms must be at most {MAX_BRJUNO_TERMS}")
     from .cfrac import brjuno_partial_sums
 
     cf = _cf_from_args(args)
@@ -228,6 +245,8 @@ def _run_brjuno(args) -> dict:
 def _run_cf(args) -> dict:
     if args.count > MAX_CF_COUNT:
         raise InvariantError(f"--count must be at most {MAX_CF_COUNT}")
+    if args.prec > MAX_CF_PREC:
+        raise InvariantError(f"precision must be at most {MAX_CF_PREC} bits")
     from .cfrac import convergents
 
     cf = _cf_from_args(args)
@@ -250,6 +269,8 @@ def _run_cf(args) -> dict:
 
 
 def _run_radius(args) -> dict:
+    if args.order > MAX_RADIUS_ORDER:
+        raise InvariantError(f"--order must be at most {MAX_RADIUS_ORDER}")
     from .linearize import (
         conformal_radius_estimate,
         inner_radius_probe,
@@ -414,6 +435,8 @@ def _run_lavrentiev(args) -> dict:
             "margin": result.margin,
         }
     else:
+        if args.count > MAX_LAVRENTIEV_COUNT:
+            raise InvariantError(f"--count must be at most {MAX_LAVRENTIEV_COUNT}")
         results = lavrentiev_monte_carlo(args.count, seed=args.seed)
         violations = [r for r in results if not r.holds]
         doc = {

@@ -8,6 +8,9 @@ configurable safety factor because the distance estimate carries an unproven
 constant.  Ray tracing walks external rays down a geometric potential ladder
 with damped Newton corrections.  The crosscut check exercises an explicit
 slit-plane model whose Riemann map is known in closed form.
+
+numpy is imported inside the functions that build arrays, not at module
+load, so `ray` and the exact commands start without it.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ import random
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .angles import Angle
 from .errors import InvariantError, PrecisionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PixelGrid",
@@ -70,6 +74,8 @@ class PixelGrid:
     cells: np.ndarray
 
     def centers(self) -> np.ndarray:
+        import numpy as np
+
         side = self.cells.shape[0]
         h = 2.0 ** (-self.resolution_exponent)
         xs = self.origin.real + (np.arange(side) + 0.5) * h
@@ -77,9 +83,13 @@ class PixelGrid:
         return xs[None, :] + 1j * ys[:, None]
 
     def near_points(self) -> np.ndarray:
+        import numpy as np
+
         return self.centers()[self.cells == NEAR]
 
     def counts(self) -> dict[str, int]:
+        import numpy as np
+
         return {
             "near": int(np.count_nonzero(self.cells == NEAR)),
             "far": int(np.count_nonzero(self.cells == FAR)),
@@ -112,6 +122,8 @@ def render_julia(
     escaped mask, so band edges and the mirror do not affect it, and the
     working set beyond the int8 cells and two bool grids stays at one band.
     """
+    import numpy as np
+
     if not 1 <= n <= MAX_JULIA_RES:
         raise InvariantError(f"resolution exponent must be in 1..{MAX_JULIA_RES}")
     if not (cmath.isfinite(c) and max_iter >= 1 and 1 <= safety < math.inf):
@@ -168,6 +180,8 @@ def render_julia(
 
 
 def _as_points(points: "Sequence[complex] | np.ndarray") -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(points)
     if arr.size == 0:
         raise InvariantError("empty point set")
@@ -441,6 +455,8 @@ _ARC_FACTORS = tuple(cmath.exp(1j * (math.pi * k / 200)) for k in range(1, 200))
 def _crosscut_image(x1: float, x2: float) -> np.ndarray:
     """Disk images of the semicircle on [x1, x2] and of the slit edge under
     it, in 200 equal steps each."""
+    import numpy as np
+
     center = (x1 + x2) / 2
     radius = (x2 - x1) / 2
     samples = 200
@@ -458,6 +474,8 @@ def _diameter(pts: np.ndarray) -> float:
     """Largest |p - q|, the float of the full pairwise maximum, taken over
     the points the triangle-inequality test of lavrentiev_check keeps; the
     upper triangle suffices, as |p - q| and |q - p| agree bit for bit."""
+    import numpy as np
+
     with np.errstate(invalid="ignore"):
         r = np.abs(pts - pts.mean())
         d0 = np.abs(pts - pts[r.argmax()]).max()

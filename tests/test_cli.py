@@ -15,7 +15,7 @@ import pytest
 from quaddyn import acceptance, cli
 from quaddyn.acceptance import CriterionResult
 from quaddyn.cantor import cover
-from quaddyn.cardioid import landing_pair
+from quaddyn.cardioid import MAX_PERIOD, landing_pair
 from quaddyn.cli import _HANDLERS, main
 from quaddyn.errors import InvariantError, PrecisionError
 
@@ -365,25 +365,76 @@ def test_omega_resolution_ceiling_exits_4(tmp_path, capsys, res):
          f"the period q of --pq must be at most {cli.MAX_ORBIT_PERIOD}"),
         (["orbit", "--pq", "1/100000"],
          f"the period q of --pq must be at most {cli.MAX_ORBIT_PERIOD}"),
+        (["brjuno", "--cf", "1:rep=1", "--terms", str(cli.MAX_BRJUNO_TERMS + 1)],
+         f"--terms must be at most {cli.MAX_BRJUNO_TERMS}"),
+        (["brjuno", "--cf", "1:rep=1", "--terms", "100000000"],
+         f"--terms must be at most {cli.MAX_BRJUNO_TERMS}"),
+        (["radius", "--cf", "1:rep=1", "--order", str(cli.MAX_RADIUS_ORDER + 1)],
+         f"--order must be at most {cli.MAX_RADIUS_ORDER}"),
+        (["radius", "--cf", "1:rep=1", "--order", "100000"],
+         f"--order must be at most {cli.MAX_RADIUS_ORDER}"),
+        (["lavrentiev", "--count", str(cli.MAX_LAVRENTIEV_COUNT + 1)],
+         f"--count must be at most {cli.MAX_LAVRENTIEV_COUNT}"),
+        (["lavrentiev", "--count", "100000000"],
+         f"--count must be at most {cli.MAX_LAVRENTIEV_COUNT}"),
+        (["cf", "--cf", "1:rep=1", "--prec", str(cli.MAX_CF_PREC + 1)],
+         f"precision must be at most {cli.MAX_CF_PREC} bits"),
+        (["cf", "--cf", "1:rep=1", "--prec", "100000000"],
+         f"precision must be at most {cli.MAX_CF_PREC} bits"),
+        # a 1024-bit denominator: the first step count above the budget
+        (["angle", "--value", f"1/{2**1023 + 1}", "--steps", str(cli.MAX_ANGLE_VALUE_COST // 1024)],
+         f"--steps with a 1024-bit denominator costs {cli.MAX_ANGLE_VALUE_COST + 1024}, "
+         f"above the budget {cli.MAX_ANGLE_VALUE_COST}"),
+        (["angle", "--value", f"1/{10**300 + 1}", "--steps", "100000"],
+         f"--steps with a 997-bit denominator costs 99700997, "
+         f"above the budget {cli.MAX_ANGLE_VALUE_COST}"),
     ],
     ids=["cantor-depth", "cf-count", "cf-count-1e8", "angle-steps", "angle-steps-1e8",
-         "angle-prec", "angle-prec-1e7", "orbit-q", "orbit-q-1e5"],
+         "angle-prec", "angle-prec-1e7", "orbit-q", "orbit-q-1e5",
+         "brjuno-terms", "brjuno-terms-1e8", "radius-order", "radius-order-1e5",
+         "lavrentiev-count", "lavrentiev-count-1e8", "cf-prec", "cf-prec-1e8",
+         "angle-value-cost", "angle-value-1e300"],
 )
 def test_size_ceilings_exit_4_before_computing(tmp_path, capsys, monkeypatch, argv, message):
-    from quaddyn import angles, cantor, cardioid, cfrac
+    from quaddyn import angles, cantor, cardioid, cfrac, dynamics, linearize
 
     def refuse(*args, **kwargs):
         raise AssertionError("computation started above the ceiling")
 
     monkeypatch.setattr(cantor, "_cover_arcs", refuse)
     monkeypatch.setattr(cfrac, "convergents", refuse)
+    monkeypatch.setattr(cfrac, "brjuno_partial_sums", refuse)
+    monkeypatch.setattr(cfrac.CFExpansion, "bracket", refuse)
     monkeypatch.setattr(angles, "double", refuse)
     monkeypatch.setattr(cardioid, "external_angle", refuse)
     monkeypatch.setattr(cardioid, "find_orbit", refuse)
+    monkeypatch.setattr(linearize, "linearization_coeffs", refuse)
+    monkeypatch.setattr(dynamics, "lavrentiev_monte_carlo", refuse)
     out_dir = tmp_path / "out"
     code, out, err = _run(capsys, argv + ["--out", str(out_dir), "--json"])
     assert (code, out) == (4, "")
     assert json.loads(err) == {"error": "InvariantError", "message": message}
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, q",
+    [
+        (["cantor", "--cf", "100000000:rep=1", "--depth", "4"], 100_000_000),
+        (["angle", "--cf", f"{MAX_PERIOD + 1}:rep=1", "--prec", "16"], MAX_PERIOD + 1),
+        (["angle", "--cf", str(MAX_PERIOD + 1), "--prec", "16"], MAX_PERIOD + 1),
+        (["landing-pair", "--pq", f"1/{MAX_PERIOD + 1}"], MAX_PERIOD + 1),
+    ],
+    ids=["cantor-1e8", "angle-cf", "angle-cf-rational", "landing-pair"],
+)
+def test_period_ceiling_exits_4_before_the_word(tmp_path, capsys, argv, q):
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, argv + ["--out", str(out_dir), "--json"])
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {
+        "error": "InvariantError",
+        "message": f"period {q} is above the ceiling {MAX_PERIOD}",
+    }
     assert not out_dir.exists()
 
 

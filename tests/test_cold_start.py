@@ -1,13 +1,14 @@
 """Fresh-interpreter runs: loading quaddyn must not load scipy, the float
-dynamics commands must not load mpmath, the exact image commands must not
-load numpy or the float renderer, and `python -m quaddyn` must reach the
-CLI.
+dynamics commands must not load mpmath, `import quaddyn.dynamics` and `ray`
+must not load numpy either, the exact commands must not load numpy, mpmath
+or the float renderer, and `python -m quaddyn` must reach the CLI.
 
 Every CLI invocation is a fresh interpreter, and scipy.spatial is most of
-its import time; only hausdorff_distance needs it.  mpmath serves the exact
-and high-precision layers, which julia, ray and lavrentiev never reach.  The
-checks run in a fresh interpreter, because this test session may have
-loaded scipy and mpmath already.
+its import time; only hausdorff_distance needs it.  numpy is next: only the
+functions of dynamics that build arrays import it.  mpmath serves the
+high-precision layers (linearize, the Brjuno sums), which julia, ray,
+lavrentiev and the exact commands never reach.  The checks run in a fresh
+interpreter, because this test session may have loaded all three already.
 """
 
 import json
@@ -63,27 +64,39 @@ def test_scipy_loads_only_with_hausdorff_distance(tmp_path):
 
 FLOAT_COMMANDS = """
 import contextlib, io, json, sys
+import quaddyn.dynamics
+
+def loaded():
+    return ["numpy" in sys.modules, "mpmath" in sys.modules]
+
+after_import = loaded()
 from quaddyn.cli import main
 
 codes = []
-for argv in (["julia", "--c", "0", "--res", "4"],
-             ["ray", "--c", "-2,0", "--angle", "1/3"],
-             ["lavrentiev", "--count", "5"]):
-    with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(main(["ray", "--c", "-2,0", "--angle", "1/3", "--out", OUT]))
+    after_ray = loaded()
+    for argv in (["julia", "--c", "0", "--res", "4"], ["lavrentiev", "--count", "5"]):
         codes.append(main(argv + ["--out", OUT]))
-print(json.dumps([codes, "mpmath" in sys.modules]))
+print(json.dumps([after_import, after_ray, codes, loaded()]))
 """
 
 
 def test_float_commands_leave_mpmath_unloaded(tmp_path):
+    """Importing dynamics and running ray load neither numpy nor mpmath;
+    julia and lavrentiev then load numpy, still not mpmath, and exit 0."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", f"OUT = {str(tmp_path)!r}\n" + FLOAT_COMMANDS],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    codes, mpmath_loaded = json.loads(proc.stdout)
+    after_import, after_ray, codes, after_all = json.loads(proc.stdout)
+    assert after_import == [False, False]
+    assert after_ray == [False, False]
     assert codes == [0, 0, 0]
-    assert not mpmath_loaded
+    assert (tmp_path / "julia.ppm").exists()
+    assert (tmp_path / "lavrentiev.json").exists()
+    assert after_all == [True, False]
 
 
 EXACT_COMMANDS = """
@@ -91,26 +104,31 @@ import contextlib, io, json, sys
 from quaddyn.cli import main
 
 codes = []
-for argv in (["omega", "--depth", "3"],
+for argv in (["angle", "--cf", "1:rep=1", "--prec", "16"],
+             ["orbit", "--pq", "2/5"],
+             ["landing-pair", "--pq", "3/5"],
              ["cantor", "--cf", "1:rep=1", "--depth", "6"],
-             ["landing-pair", "--pq", "3/5"]):
+             ["cf", "--cf", "1:rep=1"],
+             ["omega", "--depth", "3"]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv + ["--out", OUT]))
-print(json.dumps([codes, "numpy" in sys.modules, "quaddyn.dynamics" in sys.modules]))
+print(json.dumps([codes, "numpy" in sys.modules, "mpmath" in sys.modules,
+                  "quaddyn.dynamics" in sys.modules]))
 """
 
 
-def test_exact_commands_leave_numpy_and_renderer_unloaded(tmp_path):
+def test_exact_commands_leave_numpy_mpmath_and_renderer_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", f"OUT = {str(tmp_path)!r}\n" + EXACT_COMMANDS],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    codes, numpy_loaded, dynamics_loaded = json.loads(proc.stdout)
-    assert codes == [0, 0, 0]
+    codes, numpy_loaded, mpmath_loaded, dynamics_loaded = json.loads(proc.stdout)
+    assert codes == [0] * 6
     assert (tmp_path / "omega.ppm").exists()
     assert (tmp_path / "cantor-cover.ppm").exists()
     assert not numpy_loaded
+    assert not mpmath_loaded
     assert not dynamics_loaded
 
 
