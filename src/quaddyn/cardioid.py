@@ -47,9 +47,7 @@ def _validate_pq(p: int, q: int) -> None:
         raise InvariantError(f"rotation number {p}/{q} is not in lowest terms")
 
 
-# largest period q of a rotation word: at the ceiling `landing-pair` takes
-# about 3.5 s and 30 MB and `angle --cf 1048576 --prec 16` 6.4 s, nearly all
-# of it the decimal strings of the q-bit numerators, whose cost grows as q^2
+# largest period q of a rotation word; its cost is in the README's ceiling table
 MAX_PERIOD = 2**20
 
 

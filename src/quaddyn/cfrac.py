@@ -168,9 +168,13 @@ class CFExpansion:
         if self.is_rational:
             v = self.as_fraction()
             return v, v
+        # while the bit lengths of q and prev_q sum to at most `short`,
+        # q * prev_q * num < den, so the exact test cannot pass
+        short = max_width.denominator.bit_length() - 1 - max_width.numerator.bit_length()
         quotients = map(self.quotient, itertools.count())
         for i, (p, q, prev_p, prev_q) in enumerate(_convergents(quotients), 1):
-            if i >= 2 and Fraction(1, q * prev_q) <= max_width:
+            can_pass = q.bit_length() + prev_q.bit_length() > short
+            if i >= 2 and can_pass and Fraction(1, q * prev_q) <= max_width:
                 lo, hi = Fraction(prev_p, prev_q), Fraction(p, q)
                 return (lo, hi) if lo <= hi else (hi, lo)
             if i > 100_000:
@@ -249,6 +253,10 @@ def brjuno_sum(cf: CFExpansion, terms: int, prec_bits: int = 128):
     return brjuno_partial_sums(cf, terms, prec_bits)[-1]
 
 
+# ceiling of q_n * bits(numerator of the amplitude), which bounds amplitude**q_n
+MAX_PERTURBED_BITS = 2**22
+
+
 def perturbed_cf(prefix: Sequence[int], amplitude) -> CFExpansion:
     """Insert floor(amplitude**q_n) after the prefix, then continue with 1s.
 
@@ -266,6 +274,8 @@ def perturbed_cf(prefix: Sequence[int], amplitude) -> CFExpansion:
     if amp <= 1:
         raise InvariantError(f"amplitude must exceed 1, got {amplitude}")
     (_, q_n), _ = _matrix_of(prefix)
+    if q_n * amp.numerator.bit_length() > MAX_PERTURBED_BITS:
+        raise InvariantError(f"amplitude**{q_n} is above the {MAX_PERTURBED_BITS}-bit ceiling")
     power = amp**q_n
     inserted = power.numerator // power.denominator
     return CFExpansion(prefix + (inserted,), tail=(1,))

@@ -5,7 +5,9 @@ tables, P6 pixmaps for images) into the output directory together with a
 run manifest listing each artifact and its SHA-256 digest.  Outputs are
 deterministic for fixed parameters.  Exit codes: 0 success, 2 usage,
 3 precision exhaustion, 4 invariant violation; failures also print a
-machine-readable JSON object on stderr and write nothing.
+machine-readable JSON object on stderr and write nothing.  The size knobs
+are bounded by the CEILINGS table, checked once, after the precision is
+resolved and before the handler runs (exit 4).
 """
 
 from __future__ import annotations
@@ -31,20 +33,18 @@ _DEFAULT_PREC = {
     "angle": 64, "brjuno": 128, "cf": 64, "radius": 256, "ratio-experiment": 256
 }
 
-# ceilings of the size knobs, each from a measured cost (see README)
-MAX_CANTOR_DEPTH = 1000
-MAX_CF_COUNT = 10_000
-MAX_ANGLE_STEPS = 100_000
-MAX_ANGLE_PREC = 16_384  # of angle --cf
+# the ceiling of each size knob by command and argparse dest, each from a
+# measured cost (the README table); _main checks them before dispatch
+CEILINGS = {
+    "angle": {"steps": 100_000, "prec": 16_384}, "brjuno": {"terms": 10_000, "prec": 2048},
+    "cantor": {"depth": 1000, "prec": 4096}, "cf": {"count": 10_000, "prec": 16_384},
+    "julia": {"max_iter": 1024}, "lavrentiev": {"count": 4096}, "omega": {"depth": 128},
+    "radius": {"order": 1024, "prec": 2048},
+    "ratio-experiment": {"n": 30, "order": 512, "prec": 1024},
+}
+# budgets of values parsed from strings, checked by their handlers
 MAX_ORBIT_PERIOD = 4096  # the q of orbit --pq
-MAX_BRJUNO_TERMS = 10_000
-MAX_RADIUS_ORDER = 1024
-MAX_LAVRENTIEV_COUNT = 4096
-MAX_CF_PREC = 16_384
-# of angle --value: (steps + 1) * bits * (1 + bits // 8192) for a denominator
-# of `bits` bits; a step costs about 16 ns a bit, and the decimal strings add
-# the quadratic term past about 8192 bits
-MAX_ANGLE_VALUE_COST = 2**25
+MAX_ANGLE_VALUE_COST = 2**25  # the cost budget of angle --value
 
 
 def _resolve_prec(args: argparse.Namespace) -> int | None:
@@ -99,13 +99,14 @@ def _parse_angle_arg(text: str) -> "Fraction | float":
     return Fraction(int(text))
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> "range | list[int]":
+    """--n: lo..hi as a range, which builds no list, or a comma list."""
     if ".." in text:
         lo_str, hi_str = text.split("..", 1)
         lo, hi = int(lo_str), int(hi_str)
-        if hi < lo:
-            raise InvariantError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
+        if not 1 <= lo <= hi:
+            raise InvariantError(f"--n needs 1 <= lo <= hi, got {text!r}")
+        return range(lo, hi + 1)
     return [int(s) for s in text.split(",") if s.strip()]
 
 
@@ -127,8 +128,6 @@ def _run_angle(args) -> dict:
     from .angles import Angle, double
 
     if args.cf is not None:
-        if args.prec > MAX_ANGLE_PREC:
-            raise InvariantError(f"precision must be at most {MAX_ANGLE_PREC} bits with --cf")
         from .cardioid import external_angle
         from .cfrac import parse_cf_text
 
@@ -145,8 +144,6 @@ def _run_angle(args) -> dict:
         return {"angle.json": doc}
     if args.steps < 0:
         raise InvariantError(f"--steps must be >= 0, got {args.steps}")
-    if args.steps > MAX_ANGLE_STEPS:
-        raise InvariantError(f"--steps must be at most {MAX_ANGLE_STEPS}")
     a = Angle(_parse_fraction(args.value))
     bits = a.denominator.bit_length()
     cost = (args.steps + 1) * bits * (1 + bits // 8192)
@@ -202,8 +199,6 @@ def _dyadic_str(num: int, one: int) -> str:
 
 
 def _run_cantor(args) -> dict:
-    if args.depth > MAX_CANTOR_DEPTH:
-        raise InvariantError(f"--depth must be at most {MAX_CANTOR_DEPTH}")
     from .cantor import _cover_arcs
     from .imaging import cover_strip_ppm
 
@@ -227,8 +222,6 @@ def _run_cantor(args) -> dict:
 
 
 def _run_brjuno(args) -> dict:
-    if args.terms > MAX_BRJUNO_TERMS:
-        raise InvariantError(f"--terms must be at most {MAX_BRJUNO_TERMS}")
     from .cfrac import brjuno_partial_sums
 
     cf = _cf_from_args(args)
@@ -243,10 +236,6 @@ def _run_brjuno(args) -> dict:
 
 
 def _run_cf(args) -> dict:
-    if args.count > MAX_CF_COUNT:
-        raise InvariantError(f"--count must be at most {MAX_CF_COUNT}")
-    if args.prec > MAX_CF_PREC:
-        raise InvariantError(f"precision must be at most {MAX_CF_PREC} bits")
     from .cfrac import convergents
 
     cf = _cf_from_args(args)
@@ -269,8 +258,6 @@ def _run_cf(args) -> dict:
 
 
 def _run_radius(args) -> dict:
-    if args.order > MAX_RADIUS_ORDER:
-        raise InvariantError(f"--order must be at most {MAX_RADIUS_ORDER}")
     from .linearize import (
         conformal_radius_estimate,
         inner_radius_probe,
@@ -301,7 +288,7 @@ def _run_ratio_experiment(args) -> dict:
     from .linearize import radius_ratio_experiment
 
     prefix = tuple(int(s) for s in args.prefix.split(",") if s.strip())
-    ns = _parse_range(args.n)
+    ns = list(_parse_range(args.n))
     exp = radius_ratio_experiment(
         prefix, Fraction(args.amplitude), ns, order=args.order, prec=args.prec
     )
@@ -435,8 +422,6 @@ def _run_lavrentiev(args) -> dict:
             "margin": result.margin,
         }
     else:
-        if args.count > MAX_LAVRENTIEV_COUNT:
-            raise InvariantError(f"--count must be at most {MAX_LAVRENTIEV_COUNT}")
         results = lavrentiev_monte_carlo(args.count, seed=args.seed)
         violations = [r for r in results if not r.holds]
         doc = {
@@ -657,6 +642,14 @@ def _main(argv: "list[str] | None") -> int:
     try:
         # parameters keep --prec as given; handlers see the effective value
         args.prec = _resolve_prec(args)
+        for dest, ceiling in CEILINGS.get(args.command, {}).items():
+            value = getattr(args, dest)
+            if isinstance(value, str):  # the largest depth of --n
+                ns = _parse_range(value)
+                value = ns[-1] if isinstance(ns, range) else max(ns, default=0)
+            if value > ceiling:
+                flag = "--" + dest.replace("_", "-")
+                raise InvariantError(f"{flag} must be at most {ceiling}")
         artifacts = _HANDLERS[args.command](args)
     except InvariantError as exc:
         _emit_error("InvariantError", str(exc))

@@ -49,9 +49,7 @@ FAR = 0
 NEAR = 1
 BORDERLINE = 2
 
-# largest render_julia exponent; res 9 takes 0.7 s and 57 MB of peak RSS in
-# a fresh interpreter on a 2-vCPU Xeon, and `julia --res 9` 1.2 s and 84 MB,
-# most of it the rgb image and its PPM bytes, 3 * side^2 bytes each
+# largest render_julia exponent; its cost is in the README's ceiling table
 MAX_JULIA_RES = 9
 
 # pixels per band of the render_julia escape loop

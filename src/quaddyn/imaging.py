@@ -70,8 +70,7 @@ def cover_strip_image(arcs, one: int):
     return _rgb_view(cover_strip_ppm(arcs, one), 720, 36)
 
 
-# largest domain_ppm side; omega at this size takes about 0.35 s and 69 MB
-# of peak RSS on a 2-vCPU Xeon, most of it the 48 MB pixmap
+# largest domain_ppm side; its cost is in the README's ceiling table
 MAX_DOMAIN_RES = 4096
 
 

@@ -166,3 +166,41 @@ def test_bracket_contains_value():
         theta = GOLDEN.value_mpf(96)
         assert mpmath.mpf(lo.numerator) / lo.denominator <= theta
         assert theta <= mpmath.mpf(hi.numerator) / hi.denominator
+
+
+def _bracket_oracle(cf: CFExpansion, max_width: Fraction) -> tuple[Fraction, Fraction]:
+    """CFExpansion.bracket without its bit-length pre-test: the first pair of
+    consecutive convergents p'/q', p/q with 1/(q q') <= max_width."""
+    p, q, prev_p, prev_q = 0, 1, 1, 0
+    for i in range(1, 100_001):
+        r = cf.quotient(i - 1)
+        p, q, prev_p, prev_q = r * p + prev_p, r * q + prev_q, p, q
+        if i >= 2 and Fraction(1, q * prev_q) <= max_width:
+            lo, hi = Fraction(prev_p, prev_q), Fraction(p, q)
+            return (lo, hi) if lo <= hi else (hi, lo)
+    raise AssertionError("oracle did not converge")
+
+
+def test_bracket_matches_the_plain_loop():
+    rng = random.Random(20261019)
+    angles = [GOLDEN, SILVER, parse_cf_text("3,1,4:rep=9"), parse_cf_text("1:rep=1,1,7")]
+    for _ in range(12):
+        pre = tuple(rng.randint(1, 50) for _ in range(rng.randint(0, 4)))
+        per = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 3)))
+        angles.append(CFExpansion(pre, per))
+    widths = [Fraction(1, 2**k) for k in (1, 2, 64, 4096)]
+    widths += [Fraction(3, 10**k) for k in (1, 2, 20, 300)]
+    widths += [Fraction(7, 3), Fraction(2**80 - 1, 2**81 + 3)]
+    for cf in angles:
+        for width in widths:
+            assert cf.bracket(width) == _bracket_oracle(cf, width), (cf, width)
+
+
+def test_perturbed_cf_refuses_a_power_above_the_ceiling():
+    # q_1 = 2**21 - 1 for the prefix (2**21 - 1,): A = 2 (2 bits) gives
+    # 2**22 - 2, within the ceiling, and A = 4 (3 bits) goes past it
+    assert perturbed_cf((2**21 - 1,), 2).quotients[-1] == 2 ** (2**21 - 1)
+    with pytest.raises(InvariantError, match="-bit ceiling"):
+        perturbed_cf((2**21 - 1,), 4)
+    with pytest.raises(InvariantError, match="-bit ceiling"):
+        perturbed_cf((1,) * 40, 2)

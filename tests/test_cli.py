@@ -8,6 +8,7 @@ import random
 import re
 import shlex
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -344,59 +345,67 @@ def test_omega_resolution_ceiling_exits_4(tmp_path, capsys, res):
     assert json.loads(err.strip())["error"] == "InvariantError"
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["cantor", "--cf", "1:rep=1", "--depth", str(cli.MAX_CANTOR_DEPTH + 1)],
-         f"--depth must be at most {cli.MAX_CANTOR_DEPTH}"),
-        (["cf", "--cf", "1:rep=1", "--count", str(cli.MAX_CF_COUNT + 1)],
-         f"--count must be at most {cli.MAX_CF_COUNT}"),
-        (["cf", "--cf", "1:rep=1", "--count", "100000000"],
-         f"--count must be at most {cli.MAX_CF_COUNT}"),
-        (["angle", "--value", "3/7", "--steps", str(cli.MAX_ANGLE_STEPS + 1)],
-         f"--steps must be at most {cli.MAX_ANGLE_STEPS}"),
-        (["angle", "--value", "3/7", "--steps", "100000000"],
-         f"--steps must be at most {cli.MAX_ANGLE_STEPS}"),
-        (["angle", "--cf", "1:rep=1", "--prec", str(cli.MAX_ANGLE_PREC + 1)],
-         f"precision must be at most {cli.MAX_ANGLE_PREC} bits with --cf"),
-        (["angle", "--cf", "1:rep=1", "--prec", "10000000"],
-         f"precision must be at most {cli.MAX_ANGLE_PREC} bits with --cf"),
-        (["orbit", "--pq", f"1/{cli.MAX_ORBIT_PERIOD + 1}"],
-         f"the period q of --pq must be at most {cli.MAX_ORBIT_PERIOD}"),
-        (["orbit", "--pq", "1/100000"],
-         f"the period q of --pq must be at most {cli.MAX_ORBIT_PERIOD}"),
-        (["brjuno", "--cf", "1:rep=1", "--terms", str(cli.MAX_BRJUNO_TERMS + 1)],
-         f"--terms must be at most {cli.MAX_BRJUNO_TERMS}"),
-        (["brjuno", "--cf", "1:rep=1", "--terms", "100000000"],
-         f"--terms must be at most {cli.MAX_BRJUNO_TERMS}"),
-        (["radius", "--cf", "1:rep=1", "--order", str(cli.MAX_RADIUS_ORDER + 1)],
-         f"--order must be at most {cli.MAX_RADIUS_ORDER}"),
-        (["radius", "--cf", "1:rep=1", "--order", "100000"],
-         f"--order must be at most {cli.MAX_RADIUS_ORDER}"),
-        (["lavrentiev", "--count", str(cli.MAX_LAVRENTIEV_COUNT + 1)],
-         f"--count must be at most {cli.MAX_LAVRENTIEV_COUNT}"),
-        (["lavrentiev", "--count", "100000000"],
-         f"--count must be at most {cli.MAX_LAVRENTIEV_COUNT}"),
-        (["cf", "--cf", "1:rep=1", "--prec", str(cli.MAX_CF_PREC + 1)],
-         f"precision must be at most {cli.MAX_CF_PREC} bits"),
-        (["cf", "--cf", "1:rep=1", "--prec", "100000000"],
-         f"precision must be at most {cli.MAX_CF_PREC} bits"),
-        # a 1024-bit denominator: the first step count above the budget
-        (["angle", "--value", f"1/{2**1023 + 1}", "--steps", str(cli.MAX_ANGLE_VALUE_COST // 1024)],
-         f"--steps with a 1024-bit denominator costs {cli.MAX_ANGLE_VALUE_COST + 1024}, "
-         f"above the budget {cli.MAX_ANGLE_VALUE_COST}"),
-        (["angle", "--value", f"1/{10**300 + 1}", "--steps", "100000"],
-         f"--steps with a 997-bit denominator costs 99700997, "
-         f"above the budget {cli.MAX_ANGLE_VALUE_COST}"),
-    ],
-    ids=["cantor-depth", "cf-count", "cf-count-1e8", "angle-steps", "angle-steps-1e8",
-         "angle-prec", "angle-prec-1e7", "orbit-q", "orbit-q-1e5",
-         "brjuno-terms", "brjuno-terms-1e8", "radius-order", "radius-order-1e5",
-         "lavrentiev-count", "lavrentiev-count-1e8", "cf-prec", "cf-prec-1e8",
-         "angle-value-cost", "angle-value-1e300"],
-)
-def test_size_ceilings_exit_4_before_computing(tmp_path, capsys, monkeypatch, argv, message):
-    from quaddyn import angles, cantor, cardioid, cfrac, dynamics, linearize
+# the required arguments of each command that has a row in cli.CEILINGS
+_CEILING_BASE_ARGV = {
+    "angle": ["--cf", "1:rep=1"],
+    "brjuno": ["--cf", "1:rep=1"],
+    "cantor": ["--cf", "1:rep=1"],
+    "cf": ["--cf", "1:rep=1"],
+    "julia": ["--c", "0"],
+    "lavrentiev": [],
+    "omega": [],
+    "radius": ["--cf", "1:rep=1"],
+    "ratio-experiment": ["--prefix", "1,1", "--n", "3..4"],
+}
+# values far above a ceiling, tried besides ceiling + 1
+_FAR_ABOVE = {
+    ("angle", "steps"): 10**8,
+    ("angle", "prec"): 10**7,
+    ("brjuno", "terms"): 10**8,
+    ("cf", "count"): 10**8,
+    ("cf", "prec"): 10**8,
+    ("lavrentiev", "count"): 10**8,
+    ("radius", "order"): 10**5,
+}
+
+
+def _ceiling_cases():
+    """ceiling + 1 for every row of cli.CEILINGS, far above it for some, and
+    the two budgets that the handlers check on parsed strings."""
+    for command, row in cli.CEILINGS.items():
+        for dest, ceiling in row.items():
+            flag = "--" + dest.replace("_", "-")
+            message = f"{flag} must be at most {ceiling}"
+            ident = f"{command}-{dest.replace('_', '-')}"
+            values = [(ident, ceiling + 1)]
+            if (command, dest) in _FAR_ABOVE:
+                far = _FAR_ABOVE[command, dest]
+                values.append((f"{ident}-1e{len(str(far)) - 1}", far))
+            for case_id, value in values:
+                argv = [command, *_CEILING_BASE_ARGV[command], flag, str(value)]
+                yield pytest.param(argv, message, id=case_id)
+    q_message = f"the period q of --pq must be at most {cli.MAX_ORBIT_PERIOD}"
+    yield pytest.param(
+        ["orbit", "--pq", f"1/{cli.MAX_ORBIT_PERIOD + 1}"], q_message, id="orbit-q"
+    )
+    yield pytest.param(["orbit", "--pq", "1/100000"], q_message, id="orbit-q-1e5")
+    # a 1024-bit denominator: the first step count above the budget
+    yield pytest.param(
+        ["angle", "--value", f"1/{2**1023 + 1}", "--steps", str(cli.MAX_ANGLE_VALUE_COST // 1024)],
+        f"--steps with a 1024-bit denominator costs {cli.MAX_ANGLE_VALUE_COST + 1024}, "
+        f"above the budget {cli.MAX_ANGLE_VALUE_COST}",
+        id="angle-value-cost",
+    )
+    yield pytest.param(
+        ["angle", "--value", f"1/{10**300 + 1}", "--steps", "100000"],
+        f"--steps with a 997-bit denominator costs 99700997, "
+        f"above the budget {cli.MAX_ANGLE_VALUE_COST}",
+        id="angle-value-1e300",
+    )
+
+
+def _refuse_computation(monkeypatch):
+    from quaddyn import angles, cantor, cardioid, cfrac, combdomain, dynamics, linearize
 
     def refuse(*args, **kwargs):
         raise AssertionError("computation started above the ceiling")
@@ -409,12 +418,101 @@ def test_size_ceilings_exit_4_before_computing(tmp_path, capsys, monkeypatch, ar
     monkeypatch.setattr(cardioid, "external_angle", refuse)
     monkeypatch.setattr(cardioid, "find_orbit", refuse)
     monkeypatch.setattr(linearize, "linearization_coeffs", refuse)
+    monkeypatch.setattr(linearize, "radius_ratio_experiment", refuse)
     monkeypatch.setattr(dynamics, "lavrentiev_monte_carlo", refuse)
+    monkeypatch.setattr(dynamics, "render_julia", refuse)
+    monkeypatch.setattr(combdomain, "build_gamma_n", refuse)
+
+
+@pytest.mark.parametrize("argv, message", list(_ceiling_cases()))
+def test_size_ceilings_exit_4_before_computing(tmp_path, capsys, monkeypatch, argv, message):
+    _refuse_computation(monkeypatch)
     out_dir = tmp_path / "out"
     code, out, err = _run(capsys, argv + ["--out", str(out_dir), "--json"])
     assert (code, out) == (4, "")
     assert json.loads(err) == {"error": "InvariantError", "message": message}
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [c for c, row in cli.CEILINGS.items() if "prec" in row]
+)
+def test_prec_from_environment_above_ceiling_exits_4(tmp_path, capsys, monkeypatch, command):
+    # the table bounds the effective precision, not only --prec
+    _refuse_computation(monkeypatch)
+    ceiling = cli.CEILINGS[command]["prec"]
+    monkeypatch.setenv(cli.PREC_ENV, str(ceiling + 1))
+    out_dir = tmp_path / "out"
+    argv = [command, *_CEILING_BASE_ARGV[command], "--out", str(out_dir), "--json"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {
+        "error": "InvariantError",
+        "message": f"--prec must be at most {ceiling}",
+    }
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "depths, message",
+    [
+        ("3..1000000000", f"--n must be at most {cli.CEILINGS['ratio-experiment']['n']}"),
+        ("3,1000000000", f"--n must be at most {cli.CEILINGS['ratio-experiment']['n']}"),
+        ("-1000000000..3", "--n needs 1 <= lo <= hi, got '-1000000000..3'"),
+        ("5..3", "--n needs 1 <= lo <= hi, got '5..3'"),
+    ],
+)
+def test_ratio_depths_exit_4_before_any_list(tmp_path, capsys, depths, message):
+    # lo..hi is checked before any list is built: a list this long would
+    # not fit in memory
+    out_dir = tmp_path / "out"
+    argv = ["ratio-experiment", "--prefix", "1,1", f"--n={depths}", "--order", "48"]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv + ["--out", str(out_dir), "--json"])
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": "InvariantError", "message": message}
+    assert not out_dir.exists()
+
+
+def _readme_ceilings() -> list[list[str]]:
+    """The rows of the README's ceiling table, as lists of cell texts."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| command | knob | default | ceiling | measured cost at the ceiling |"
+    lines = text[text.index(header):].splitlines()[2:]
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split(" | ")])
+    return rows
+
+
+def test_readme_ceiling_table_agrees_with_the_code():
+    import importlib
+
+    table, pointers = {}, set()
+    for command, knob, _, ceiling, _ in _readme_ceilings():
+        command = command.strip("`")
+        number = re.match(r"2\^(\d+)|[\d,]+", ceiling)
+        value = 2 ** int(number[1]) if number[1] else int(number[0].replace(",", ""))
+        pointer = re.search(r"`(\w+)\.(MAX_\w+)`", ceiling)
+        if pointer:
+            module = importlib.import_module(f"quaddyn.{pointer[1]}")
+            assert getattr(module, pointer[2]) == value, ceiling
+            pointers.add(pointer[0].strip("`"))
+        else:
+            dest = re.search(r"`--([\w-]+)`", knob)[1].replace("-", "_")
+            table[command, dest] = value
+    assert table == {(c, d): v for c, row in cli.CEILINGS.items() for d, v in row.items()}
+    assert pointers >= {
+        "dynamics.MAX_JULIA_RES",
+        "imaging.MAX_DOMAIN_RES",
+        "cardioid.MAX_PERIOD",
+        "cli.MAX_ORBIT_PERIOD",
+        "cli.MAX_ANGLE_VALUE_COST",
+        "cfrac.MAX_PERTURBED_BITS",
+    }
 
 
 @pytest.mark.parametrize(
