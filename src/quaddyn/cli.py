@@ -28,7 +28,7 @@ PREC_ENV = "QUADDYN_PREC"
 
 
 # working precision of the commands that have one when neither --prec nor
-# $QUADDYN_PREC is given; cantor's grows with the depth
+# $QUADDYN_PREC is given; cantor's grows with the depth, set by its handler
 _DEFAULT_PREC = {
     "angle": 64, "brjuno": 128, "cf": 64, "radius": 256, "ratio-experiment": 256
 }
@@ -57,10 +57,6 @@ def _resolve_prec(args: argparse.Namespace) -> int | None:
             raise InvariantError(f"{PREC_ENV} must be an integer, got {env!r}") from exc
     if prec is not None and prec < 1:
         raise InvariantError(f"precision must be at least 1 bit, got {prec}")
-    if prec is None and args.command == "cantor":
-        from .cantor import _default_prec
-
-        return _default_prec(args.depth)
     return prec if prec is not None else _DEFAULT_PREC.get(args.command)
 
 
@@ -199,11 +195,21 @@ def _dyadic_str(num: int, one: int) -> str:
 
 
 def _run_cantor(args) -> dict:
-    from .cantor import _cover_arcs
+    from .cantor import _cover_arcs, _default_prec
     from .imaging import cover_strip_ppm
 
     cf = _cf_from_args(args)
-    arcs, one = _cover_arcs(cf, args.depth, prec=args.prec)
+    # the depth schedule's precision doubles, up to its ceiling, until alpha's
+    # bracket is certified; one from --prec or $QUADDYN_PREC is kept
+    scheduled, args.prec = args.prec is None, args.prec or _default_prec(args.depth)
+    while True:
+        try:
+            arcs, one = _cover_arcs(cf, args.depth, prec=args.prec)
+            break
+        except PrecisionError:
+            if not scheduled or args.prec >= CEILINGS["cantor"]["prec"]:
+                raise
+            args.prec = min(2 * args.prec, CEILINGS["cantor"]["prec"])
     # the arcs are what cantor.cover returns as CircleIntervals, whose
     # invariants are checked here on the numerators
     if not all(0 <= lo < one and lo <= hi <= lo + one for lo, hi in arcs):
@@ -647,7 +653,7 @@ def _main(argv: "list[str] | None") -> int:
             if isinstance(value, str):  # the largest depth of --n
                 ns = _parse_range(value)
                 value = ns[-1] if isinstance(ns, range) else max(ns, default=0)
-            if value > ceiling:
+            if value is not None and value > ceiling:  # cantor's prec may be unset
                 flag = "--" + dest.replace("_", "-")
                 raise InvariantError(f"{flag} must be at most {ceiling}")
         artifacts = _HANDLERS[args.command](args)

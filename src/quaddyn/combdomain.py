@@ -24,6 +24,10 @@ from .errors import InvariantError
 
 Point = tuple[Fraction, Fraction]
 
+# ceiling of n times the bits of the denominator of a_n or b_n; its cost is
+# in the README's ceiling table
+MAX_TERM_BITS = 2**19
+
 # a rational literal; a zero denominator does not match
 _RAT = r"[+-]?\d+(?:/0*[1-9]\d*)?"
 _EXPR_RE = re.compile(rf"^\s*({_RAT})\s*([+-])\s*(\d+)\s*\^\s*-\s*k\s*$")
@@ -128,6 +132,8 @@ class OmegaDomain:
     and keeps a nonempty gap next to each slat.  The classical picture pins
     the limits below 1/2; early terms of natural approximating sequences can
     overshoot that, so only the geometric constraints are enforced per term.
+    n times the bits of the denominator of a_n or b_n must stay within
+    MAX_TERM_BITS, which bounds the cost of the exact vertices of depth n.
     Terms are read lazily and kept, so a violation surfaces on the first
     query that exposes it.
     """
@@ -148,6 +154,12 @@ class OmegaDomain:
         if not (0 <= a_n < b_n < 1):
             raise InvariantError(
                 f"need 0 <= a_{n} < b_{n} < 1, got a={a_n}, b={b_n}"
+            )
+        bits = max(a_n.denominator.bit_length(), b_n.denominator.bit_length())
+        if n * bits > MAX_TERM_BITS:
+            raise InvariantError(
+                f"term {n} has a {bits}-bit denominator; {n} times it is above "
+                f"the ceiling {MAX_TERM_BITS}"
             )
         return a_n, b_n
 
@@ -303,17 +315,14 @@ def in_domain(dom: OmegaDomain, depth: int, point: Point) -> PointLocation:
 def sample_polyline(vertices: Iterable[Point], spacing: float) -> list[complex]:
     """Sample a closed rectilinear polygon at roughly the given spacing.
 
-    Returns complex points including every vertex, for feeding the
-    point-cloud Hausdorff distance.
+    Returns complex points including every vertex; consecutive points are
+    less than the spacing apart along the polygon.
     """
-    pts = [(float(x), float(y)) for x, y in vertices]
-    if len(pts) < 2:
-        return [complex(*p) for p in pts]
     if spacing <= 0:
         raise InvariantError("spacing must be positive")
-    edges = list(zip(pts, pts[1:] + pts[:1]))
+    pts = [(float(x), float(y)) for x, y in vertices]
     out: list[complex] = []
-    for (x1, y1), (x2, y2) in edges:
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
         length = abs(x2 - x1) + abs(y2 - y1)
         steps = max(1, int(length / spacing) + 1)
         for i in range(steps):
@@ -322,14 +331,27 @@ def sample_polyline(vertices: Iterable[Point], spacing: float) -> list[complex]:
     return out
 
 
+def _to_edges(points: list[complex], vertices: tuple[Point, ...]) -> float:
+    """Largest distance from the points to the closed polygon's edges; an
+    axis-parallel edge is its own bounding box, so clipping finds the foot."""
+    import numpy as np
+
+    pts, best = np.array(points), np.inf
+    for (x1, y1), (x2, y2) in zip(vertices, vertices[1:] + vertices[:1]):
+        dx = pts.real - np.clip(pts.real, float(min(x1, x2)), float(max(x1, x2)))
+        dy = pts.imag - np.clip(pts.imag, float(min(y1, y2)), float(max(y1, y2)))
+        best = np.minimum(best, np.hypot(dx, dy))
+    return float(best.max())
+
+
 def gamma_hausdorff(dom: OmegaDomain, n: int, m: int) -> float:
-    """Sampled Hausdorff distance between two boundary approximants.
-
-    Both curves are sampled at a quarter of the finer depth's slab unit.
-    """
-    from .dynamics import hausdorff_distance
-
+    """Certified upper end of the Hausdorff distance between two boundary
+    approximants.  Samples of each, a quarter of the finer depth's slab unit
+    apart, are measured against the other's exact edges; distance to a curve
+    is 1-Lipschitz, so the true distance lies within half that spacing above."""
     spacing = float(_pow3(-max(n, m))) / 4
-    first = sample_polyline(build_gamma_n(dom, n), spacing)
-    second = sample_polyline(build_gamma_n(dom, m), spacing)
-    return hausdorff_distance(first, second)
+    first, second = build_gamma_n(dom, n), build_gamma_n(dom, m)
+    return spacing / 2 + max(
+        _to_edges(sample_polyline(first, spacing), second),
+        _to_edges(sample_polyline(second, spacing), first),
+    )

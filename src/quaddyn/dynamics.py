@@ -184,24 +184,24 @@ def _as_points(points: "Sequence[complex] | np.ndarray") -> np.ndarray:
     if arr.size == 0:
         raise InvariantError("empty point set")
     if np.iscomplexobj(arr) or arr.ndim == 1:
-        arr = np.column_stack([np.real(arr).ravel(), np.imag(arr).ravel()])
-    return arr.astype(np.float64)
+        return arr.ravel() + 0j
+    return arr[:, 0] + 1j * arr[:, 1]
 
 
 def hausdorff_distance(
     a: "Sequence[complex] | np.ndarray", b: "Sequence[complex] | np.ndarray"
 ) -> float:
-    """Hausdorff distance between finite point sets (complex or Nx2).
-
-    scipy is imported here, not at module load: only `accept` (C09, C12)
-    reaches this function, and the import is most of a CLI cold start.
-    """
-    from scipy.spatial import cKDTree
+    """Hausdorff distance between finite point sets (complex or Nx2), from
+    every pairwise distance, taken in blocks of rows of about 2^20."""
+    import numpy as np
 
     pa, pb = _as_points(a), _as_points(b)
-    d_ab = cKDTree(pb).query(pa)[0].max()
-    d_ba = cKDTree(pa).query(pb)[0].max()
-    return float(max(d_ab, d_ba))
+    rows, a_to_b, b_to_a = max(1, 2**20 // pb.size), 0.0, np.inf
+    for i in range(0, pa.size, rows):
+        block = abs(pa[i : i + rows, None] - pb)
+        a_to_b = max(a_to_b, block.min(axis=1).max())
+        b_to_a = np.minimum(b_to_a, block.min(axis=0))
+    return float(max(a_to_b, b_to_a.max()))
 
 
 @dataclass(frozen=True)

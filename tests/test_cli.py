@@ -512,6 +512,7 @@ def test_readme_ceiling_table_agrees_with_the_code():
         "cli.MAX_ORBIT_PERIOD",
         "cli.MAX_ANGLE_VALUE_COST",
         "cfrac.MAX_PERTURBED_BITS",
+        "combdomain.MAX_TERM_BITS",
     }
 
 
@@ -814,6 +815,63 @@ def _cantor_sweep():
         prec = rng.choice([None, *range(4, 41)])
         argvs.append(argv if prec is None else argv + ["--prec", str(prec)])
     return argvs
+
+
+@pytest.mark.parametrize("cf, certified", [("100:rep=1", 160), ("1:rep=40", 80)])
+def test_cantor_doubles_a_scheduled_precision(tmp_path, capsys, monkeypatch, cf, certified):
+    # the depth schedule's 40 bits cannot place alpha inside the arc; the
+    # doubled precision can, and the artifacts are those of that --prec
+    monkeypatch.delenv("QUADDYN_PREC", raising=False)
+    argv = ["cantor", "--cf", cf, "--depth", "8", "--out"]
+    assert _run(capsys, argv + [str(tmp_path / "auto")])[0] == 0
+    manifest = json.loads((tmp_path / "auto" / "cantor-manifest.json").read_text())
+    assert manifest["precision_bits"] == certified
+    assert "prec" not in manifest["parameters"]
+    given = argv + [str(tmp_path / "given"), "--prec", str(certified)]
+    assert _run(capsys, given)[0] == 0
+    for name in ("cantor-cover.json", "cantor-cover.ppm"):
+        assert (tmp_path / "auto" / name).read_bytes() == (tmp_path / "given" / name).read_bytes()
+    # a precision given outright is kept
+    code, _, err = _run(capsys, argv + [str(tmp_path / "kept"), "--prec", "40"])
+    assert code == 3
+    assert json.loads(err)["message"] == "cannot certify the alpha bracket inside the arc"
+    assert not (tmp_path / "kept").exists()
+
+
+def test_cantor_precision_stops_at_its_ceiling(tmp_path, capsys, monkeypatch):
+    from quaddyn import cantor
+
+    tried, cover_arcs = [], cantor._cover_arcs
+
+    def recording(cf, depth, prec):
+        tried.append(prec)
+        return cover_arcs(cf, depth, prec)
+
+    monkeypatch.setattr(cantor, "_cover_arcs", recording)
+    monkeypatch.delenv("QUADDYN_PREC", raising=False)
+    out_dir = tmp_path / "out"
+    argv = ["cantor", "--cf", "5000:rep=1", "--depth", "8", "--out", str(out_dir)]
+    code, _, err = _run(capsys, argv)
+    assert code == 3
+    assert json.loads(err)["error"] == "PrecisionError"
+    assert tried == [40, 80, 160, 320, 640, 1280, 2560, 4096]
+    assert not out_dir.exists()
+
+
+def test_omega_base_past_the_term_bits_ceiling_exits_4(tmp_path, capsys):
+    # a 1001-digit base: n^2 * 3322 bits passes 2^19 at term 13
+    out_dir = tmp_path / "out"
+    argv = ["omega", "--depth", "40", "--a-seq", f"1/4-{10**1000}^-k", "--b-seq", "1/3",
+            "--res", "16", "--out", str(out_dir)]
+    started = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {
+        "error": "InvariantError",
+        "message": "term 13 has a 43186-bit denominator; 13 times it is above the ceiling 524288",
+    }
+    assert not out_dir.exists()
 
 
 def test_cantor_matches_former_handler(tmp_path, capsys):

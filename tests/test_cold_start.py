@@ -1,13 +1,13 @@
-"""Fresh-interpreter runs: loading quaddyn must not load scipy, the float
-dynamics commands must not load mpmath, `import quaddyn.dynamics` and `ray`
-must not load numpy either, the exact commands must not load numpy, mpmath
-or the float renderer, and `python -m quaddyn` must reach the CLI.
+"""Fresh-interpreter runs: quaddyn never loads scipy, the float dynamics
+commands must not load mpmath, `import quaddyn.dynamics` and `ray` must not
+load numpy either, the exact commands must not load numpy, mpmath or the
+float renderer, and `python -m quaddyn` must reach the CLI.
 
-Every CLI invocation is a fresh interpreter, and scipy.spatial is most of
-its import time; only hausdorff_distance needs it.  numpy is next: only the
-functions of dynamics that build arrays import it.  mpmath serves the
-high-precision layers (linearize, the Brjuno sums), which julia, ray,
-lavrentiev and the exact commands never reach.  The checks run in a fresh
+Every CLI invocation is a fresh interpreter, so imports are most of a cheap
+command's time.  scipy is no dependency; hausdorff_distance is plain numpy.
+Only the functions of dynamics that build arrays import numpy.  mpmath
+serves the high-precision layers (linearize, the Brjuno sums), which julia,
+ray, lavrentiev and the exact commands never reach.  The checks run in a fresh
 interpreter, because this test session may have loaded all three already.
 """
 
@@ -46,7 +46,7 @@ print(json.dumps([after_import, code, after_julia, distance, scipy_loaded()]))
 """
 
 
-def test_scipy_loads_only_with_hausdorff_distance(tmp_path):
+def test_scipy_never_loads(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     prelude = f"MODULES = {MODULES!r}\nOUT = {str(tmp_path)!r}\n"
     proc = subprocess.run(
@@ -59,7 +59,7 @@ def test_scipy_loads_only_with_hausdorff_distance(tmp_path):
     assert (tmp_path / "julia-manifest.json").exists()
     assert not after_julia
     assert distance == 5.0
-    assert after_call
+    assert not after_call
 
 
 FLOAT_COMMANDS = """

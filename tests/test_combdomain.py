@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from quaddyn.combdomain import (
+    MAX_TERM_BITS,
     OmegaDomain,
     PointLocation,
     RationalSequence,
     _runs,
+    _to_edges,
     build_gamma_n,
     chain_midpoint,
     crosscut_chain,
@@ -25,7 +27,7 @@ from quaddyn.combdomain import (
     sample_polyline,
     toy_sequences,
 )
-from quaddyn.dynamics import BORDERLINE, FAR, NEAR
+from quaddyn.dynamics import BORDERLINE, FAR, NEAR, hausdorff_distance
 from quaddyn.errors import InvariantError
 from quaddyn.imaging import classification_image, domain_image, domain_ppm, ppm_bytes
 
@@ -424,3 +426,41 @@ def test_gamma_hausdorff_cauchy_rate():
     assert d24 <= 2 * 3.0**-2
     assert d35 <= 2 * 3.0**-3
     assert d46 <= 2 * 3.0**-4
+
+
+def test_edge_distance_matches_dense_sampling():
+    # a dense sample at spacing d lies on the curve and within d/2 of each
+    # of its points, so it brackets the exact distance in [dense - d/2, dense]
+    rng = random.Random(12)
+    verts = build_gamma_n(_toy_domain(), 3)
+    spacing = 1e-4
+    dense = np.array(sample_polyline(verts, spacing))
+    for _ in range(40):
+        p = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+        exact, sampled = _to_edges([p], verts), abs(dense - p).min()
+        assert sampled - spacing / 2 <= exact <= sampled
+    assert _to_edges(sample_polyline(verts, 0.01), verts) < 1e-15
+
+
+def test_gamma_hausdorff_bracket_holds_the_sampled_distance():
+    # the former sample-to-sample value lies in [upper - spacing/2, upper]
+    dom = _toy_domain()
+    spacing = 3.0**-4 / 4
+    former = hausdorff_distance(
+        sample_polyline(build_gamma_n(dom, 2), spacing),
+        sample_polyline(build_gamma_n(dom, 4), spacing),
+    )
+    upper = gamma_hausdorff(dom, 2, 4)
+    assert upper - spacing / 2 <= former <= upper
+    assert upper == pytest.approx(0.100309, abs=1e-6)
+
+
+def test_term_bits_ceiling():
+    # a constant 1/2^65535 has a 65536-bit denominator: 8 terms reach the
+    # ceiling exactly, the 9th passes it
+    value = F(1, 2**65535)
+    dom = OmegaDomain(RationalSequence(lambda k: value), parse_sequence_expr("1/2"))
+    assert 8 * 65536 == MAX_TERM_BITS
+    assert dom.terms(8) == (value, F(1, 2))
+    with pytest.raises(InvariantError, match="term 9 has a 65536-bit denominator"):
+        dom.terms(9)

@@ -197,6 +197,19 @@ def test_hausdorff_matches_pairwise_oracle(sizes):
     assert hausdorff_distance(b, a) == pytest.approx(want, rel=1e-12)
 
 
+def test_hausdorff_blocks_match_one_matrix():
+    # 2100 x 1000 distances take three blocks of rows; one full matrix is
+    # the oracle, in both orders and both input forms
+    rng = np.random.default_rng(7)
+    a = rng.uniform(-2, 2, 2100) + 1j * rng.uniform(-2, 2, 2100)
+    b = rng.uniform(-2, 2, 1000) + 1j * rng.uniform(-2, 2, 1000)
+    full = abs(a[:, None] - b)
+    want = max(full.min(axis=1).max(), full.min(axis=0).max())
+    assert hausdorff_distance(a, b) == want
+    assert hausdorff_distance(b, a) == want
+    assert hausdorff_distance(np.column_stack([a.real, a.imag]), b) == want
+
+
 def test_hausdorff_triangle_inequality():
     rng = random.Random(5)
     for _ in range(25):
