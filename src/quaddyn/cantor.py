@@ -129,8 +129,9 @@ def build_arc(cf: CFExpansion, prec: int = 64) -> HalfCircleArc:
     Computes alpha through the external-angle routine, halves its bracket to
     bracket the low endpoint, and keeps the half circle that provably
     contains alpha.  Construction raises PrecisionError when prec is too
-    coarse to certify that containment; alpha is interior, so a few extra
-    bits always settle it.
+    coarse to certify that containment.  alpha is interior, so some larger
+    prec settles it, but nothing here adds bits: the caller must retry with
+    more, as the cantor command's schedule does by doubling prec.
     """
     g_lo, g_hi, lo, width, den = _arc_numerators(cf, prec)
     one = 1 << (prec + 2)

@@ -378,6 +378,10 @@ def _run_omega(args) -> dict:
     dom = OmegaDomain(
         _sequence_from_arg(args.a_seq, "a"), _sequence_from_arg(args.b_seq, "b")
     )
+    # read every term first: build_gamma_n reads them in this order, so the
+    # first bad term fails as it would there, before any curve is built
+    for k in range(1, args.depth + 1):
+        dom.terms(k)
     curves = {}
     for n in range(1, args.depth + 1):
         verts = build_gamma_n(dom, n)

@@ -12,17 +12,25 @@ Fixed-point contract: the coefficient recursion, the circle probe and the
 functional residual run on Gaussian integers, a complex number x + iy held
 as the Python ints round(x * 2^f), round(y * 2^f) with f = prec + 32
 fractional bits.  The recursion is homogeneous of degree n, so it runs on
-c_n = b_n * 2^(-s n), dividing by the mpc chain of lam^n - lam: the absolute
-error on b_n is N * 2^-(prec+32) * 2^(s n) for an order-N series, and every
-rounding is relative at most 2^-(prec+16), as s steps down until each |c_n|
-keeps f - 16 bits.  The circle is evaluated at S equispaced points by one
-exact-integer DFT: the radius-scaled coefficients are folded mod S (exactly,
-since u^S = 1) and transformed by a mixed-radix decimation in time whose
-twiddles come from a table of S-th roots of unity, accurate to 2^-prec; so
-each value is off by about log2(S) * 2^-prec * sum |c_n| plus (N + S) *
-2^-(prec+32), and the residual still resolves defects far below 1e-60 at 256
-bits.  mpf -> int is one exact mantissa shift, independent of mp.prec; the
-public values stay mpmath numbers at prec bits.
+c_n = b_n * 2^(-s n), dividing by the chain of lam^n - lam, rounded to prec
+bits as mpmath's mpc arithmetic rounds it: the absolute error on b_n is
+N * 2^-(prec+32) * 2^(s n) for an order-N series, and every rounding is
+relative at most 2^-(prec+16), as s steps down until each |c_n| keeps
+f - 16 bits.  The circle is sampled at S equispaced points u_k, where the
+radius-scaled coefficients fold mod S exactly (u^S = 1), and the S-th
+roots of unity come from a table whose entries are within 2^(4-prec) of
+exact.  The residual transforms the folded sums by one exact-integer
+mixed-radix DFT, so each value is off by about log2(S) * 2^-prec *
+sum |c_n| plus (N + S) * 2^-(prec+32), and it resolves defects far below
+1e-60 at 256 bits.  The probe needs only the least |phi(u_k)|: a float
+transform screens all S samples, with a proven error bound of about
+log2(S) * (6u + 2^(4-prec)) * sum |c_n| for u = 2^-53 (Higham, Accuracy
+and Stability of Numerical Algorithms, section 24.1), and only the samples
+that bound cannot rule out are computed in fixed point, each exactly as
+the DFT computes it.  Those exact values decide the reported minimum,
+which is the DFT's, bit for bit.  mpf -> int is one exact mantissa shift,
+independent of mp.prec; the public values stay mpmath numbers at prec
+bits.
 """
 
 from __future__ import annotations
@@ -30,12 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, isqrt, log2
-from operator import add, mul
-from typing import Iterable, Sequence
+from itertools import repeat
+from math import expm1, inf, isqrt, ldexp, log1p, log2
+from operator import add, itemgetter, mul, rshift, sub
+from typing import Iterable, Iterator, Sequence
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, mpc_mul, mpc_sub, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .cfrac import CFExpansion, perturbed_cf
 from .errors import InvariantError, PrecisionError
@@ -122,12 +131,15 @@ def _scaled_fixed(
 
 
 def _unit_points(samples: int, frac: int) -> tuple[tuple[int, int], ...]:
-    """exp(2 pi i k / S) for k < S as fixed-point pairs, each to 2^-mp.prec.
+    """exp(2 pi i k / S) for k < S as fixed-point pairs.
 
-    When 8 divides S only the first octant, k <= S/8, is evaluated.  The
-    rest follows exactly: cos and sin swap across pi/4, a quarter turn maps
-    (x, y) to (-y, x) and a half turn to (-x, -y).  The table is memoised
-    per (S, frac, mp.prec), the three things it depends on.
+    Each is within 2^(4 - mp.prec) of the exact root: rounding the angle
+    2k/S to mp.prec bits moves it by at most pi 2^-prec, and each part of
+    expjpi and of the fixed-point pair adds a rounding.  When 8 divides S
+    only the first octant, k <= S/8, is evaluated.  The rest follows
+    exactly: cos and sin swap across pi/4, a quarter turn maps (x, y) to
+    (-y, x) and a half turn to (-x, -y).  The table is memoised per
+    (S, frac, mp.prec), the three things it depends on.
     """
     return _unit_table(samples, frac, mp.prec)
 
@@ -145,6 +157,11 @@ def _unit_table(samples: int, frac: int, prec: int) -> tuple[tuple[int, int], ..
     return tuple(points + [(-x, -y) for x, y in points])
 
 
+def _factor(n: int) -> int:
+    """The smallest prime factor of n > 1."""
+    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+
+
 def _dft(
     re: list[int], im: list[int], table: Sequence[tuple[int, int]], frac: int
 ) -> tuple[list[int], list[int]]:
@@ -160,7 +177,7 @@ def _dft(
     n = len(re)
     if n == 1:
         return re, im
-    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    p = _factor(n)
     m, stride = n // p, len(table) // n
     subs = [_dft(re[r::p], im[r::p], table, frac) for r in range(p)]
     if p == 2:
@@ -192,31 +209,235 @@ def _dft(
     return out_r, out_i
 
 
+def _fold(
+    re: list[int], im: list[int], samples: int
+) -> tuple[list[int], list[int]]:
+    """a_j = sum_(n = j mod S) c_n: u^S = 1 on the S-th roots of unity, so
+    sum_n c_n u^n = sum_j a_j u^j there, exactly."""
+
+    def fold(xs: list[int]) -> list[int]:
+        xs = xs + [0] * (-len(xs) % samples)
+        chunks = [xs[i : i + samples] for i in range(0, len(xs), samples)]
+        return list(map(sum, zip(*chunks)))
+
+    return fold(re), fold(im)
+
+
 def _circle_values(
     re: list[int], im: list[int], table: Sequence[tuple[int, int]], frac: int
 ) -> tuple[list[int], list[int]]:
-    """sum_n c_n u_k^n at the S = len(table) points u_k = table[k].
+    """sum_n c_n u_k^n at the S = len(table) points u_k = table[k], by one
+    S-point transform of the folded coefficients."""
+    return _dft(*_fold(re, im, len(table)), table, frac)
 
-    u_k^S = 1, so the coefficients fold exactly to a_j = sum_(n = j mod S) c_n
-    before one S-point transform.
+
+_U = 2.0**-53  # unit roundoff of a float
+
+
+@lru_cache(maxsize=16)
+def _float_plan(samples: int, frac: int, prec: int) -> tuple[list, float]:
+    """The stages of the float S-point transform, and its error bound.
+
+    Stockham form: after stages of radices whose product is L, the list y
+    holds y[c + r k] = sum_t a_(c + r t) w^(t k S / L) for c < r = S / L and
+    k < L, w = exp(2 pi i / S).  A stage of radix p (r = p r') gathers y
+    into p blocks, block u holding y[r k + r' u + c'] at c' + r' k; block u
+    is multiplied by the twiddles w^(u k r'), and output block v is
+    sum_u w^(u v S / p) (block u), so that it holds y[c' + r' (k + L v)] of
+    the next L' = p L.  Radix 2 needs no second product: its output blocks
+    are the sum and the difference.  The floats come from the fixed-point
+    table, so each twiddle is within mu = 2u + 2^(4-prec) of the exact root.
+
+    The bound (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed.: Lemma 3.5 for a complex product, 3u for sqrt(2) gamma_2; section
+    24.1 for the transform): every intermediate value is a partial sum over
+    a residue class of the inputs, bounded by that class's mass sum |a_j|.
+    A stage multiplies each term at most twice (each a factor 1 + mu + 3u
+    of error, counting the twiddle's) and sums p terms (gamma_(p-1)), so
+    with the input rounding (u), |X^_k - X_k| <= (exp(s) - 1) sum_j |a_j|,
+    s = u + sum over stages of those terms.  The bound returned is
+    exp(2 s) - 1, which is at least exp(s) - 1 + s and so leaves over 6u
+    sum |a_j| for the rounding of |X^_k|, of the cut built from it, and of
+    the mass itself.  Absolute errors from underflow and from the input
+    shift stay below S 2^-998 at the scale the screen uses (max |a_j| of
+    at least 1/2), far inside that margin.
     """
-    samples = len(table)
-    return _dft(
-        [sum(re[j::samples]) for j in range(samples)],
-        [sum(im[j::samples]) for j in range(samples)],
-        table,
-        frac,
+    scale = 1 << frac
+    table = _unit_table(samples, frac, prec)
+    roots = [complex(x / scale, y / scale) for x, y in table]
+    mu = 2 * _U + 2.0 ** (4 - prec)
+    stages, span, s = [], 1, _U
+    while span < samples:
+        rest = samples // span
+        p = _factor(rest)
+        step = rest // p
+        order = [
+            rest * k + step * u + c
+            for u in range(p)
+            for k in range(span)
+            for c in range(step)
+        ]
+        twiddles = [
+            [roots[u * k * step % samples] for k in range(span) for _ in range(step)]
+            for u in range(1, p)
+        ]
+        spins = [
+            [roots[u * v * (samples // p) % samples] for u in range(1, p)]
+            for v in range(p)
+        ]
+        stages.append((p, itemgetter(*order), twiddles, spins))
+        products = 1 if p == 2 else 2
+        s += products * (mu + 3 * _U) + (p - 1) * _U / (1 - (p - 1) * _U)
+        span *= p
+    return stages, expm1(2 * s)
+
+
+def _float_transform(values: list[complex], stages: list) -> list[complex]:
+    """X_k = sum_j a_j w^(j k) for all k < S, in floats, by the stages of
+    _float_plan."""
+    for p, gather, twiddles, spins in stages:
+        g = gather(values)
+        m = len(g) // p
+        z = [g[:m]]
+        for u, tw in enumerate(twiddles, 1):
+            z.append(list(map(mul, tw, g[u * m : (u + 1) * m])))
+        if p == 2:
+            values = [*map(add, *z), *map(sub, *z)]
+            continue
+        values = []
+        for row in spins:
+            acc = z[0]
+            for w, zu in zip(row, z[1:]):
+                acc = map(add, acc, map(w.__mul__, zu))
+            values += acc
+    return values
+
+
+def _twiddled(
+    w: tuple[int, int], re: list[int], im: list[int], frac: int
+) -> tuple[Iterator[int], Iterator[int]]:
+    """w * (re + i im) elementwise, by _dft's three products and one
+    truncation per part."""
+    wr, wi = w
+    t = list(map(wr.__mul__, map(add, re, im)))
+    return (
+        map(rshift, map(sub, t, map((wr + wi).__mul__, im)), repeat(frac)),
+        map(rshift, map(add, t, map((wi - wr).__mul__, re)), repeat(frac)),
     )
 
 
+def _dft_at(
+    re: list[int], im: list[int], table: Sequence[tuple[int, int]], frac: int, k: int
+) -> tuple[int, int]:
+    """X_k of _dft(re, im, table, frac), bit for bit.
+
+    _dft's sums and truncations for the one output, level by level from the
+    leaves: at each level the transforms of the residue classes mod P need
+    only their output k mod (n / P), and all classes share its twiddles.
+    That is n - 1 products, fewer when the classes past the last nonzero
+    input are zero and a level only passes its first child on.
+    """
+    n = len(re)
+    radices, m = [], n
+    while m > 1:
+        radices.append(_factor(m))
+        m //= radices[-1]
+    nonzero = max((j + 1 for j in range(n) if re[j] or im[j]), default=0)
+    classes = n
+    for p in reversed(radices):
+        classes //= p
+        if classes >= nonzero:
+            re, im = re[:classes], im[:classes]
+            continue
+        size = n // classes
+        kd, half, stride = k % size, size // p, len(table) // size
+        if p == 2:
+            w = table[kd % half * stride]
+            tr, ti = _twiddled(w, re[classes:], im[classes:], frac)
+            op = add if kd < half else sub
+            re, im = list(map(op, re[:classes], tr)), list(map(op, im[:classes], ti))
+            continue
+        sr, si = re[:classes], im[:classes]
+        for t in range(1, p):
+            part = slice(t * classes, (t + 1) * classes)
+            tr, ti = _twiddled(table[t * kd % size * stride], re[part], im[part], frac)
+            sr, si = list(map(add, sr, tr)), list(map(add, si, ti))
+        re, im = sr, si
+    return re[0], im[0]
+
+
+def _circle_min(
+    re: list[int], im: list[int], samples: int, frac: int, prec: int
+) -> int:
+    """min(map(_norm2, *_circle_values(re, im, table, frac))), bit for bit,
+    for the table of S = samples roots at prec bits.
+
+    A float transform screens all S samples; only those within twice the
+    bound on |screen - _dft| of the screen's minimum go through _dft_at, and
+    they include the sample whose _dft norm is least.  The bound adds the
+    screen's (_float_plan) to _dft's own error against the exact sum: by
+    induction over its levels, each adds the twiddle error tau = 2^(4-prec)
+    on its mass and a truncation under sqrt 2 per product, so _dft is off by
+    at most ((1 + tau)^levels - 1) sum |a_j| + 2 S (1 + tau)^levels.  The
+    ints are scaled by one power of two, 2^-top for top the largest bit
+    length (read after a shift that keeps 1000 bits), so no float overflows.
+    """
+    ar, ai = _fold(re, im, samples)
+    stages, rel = _float_plan(samples, frac, prec)
+    top = max(map(abs, ar + ai)).bit_length()
+    shift = max(0, top - 1000)
+    f = 2.0 ** (shift - top)
+    screen = [
+        complex(float(a >> shift) * f, float(b >> shift) * f) if a or b else 0j
+        for a, b in zip(ar, ai)
+    ]
+    mags = list(map(abs, _float_transform(screen, stages)))
+    grow = expm1(len(stages) * log1p(2.0 ** (4 - prec)))
+    mass = sum(map(abs, ar)) + sum(map(abs, ai))  # at least sum |a_j|
+    slack = (rel + grow) * float(mass >> shift) * f
+    cut = min(mags) + 2 * (slack + ldexp(2 * samples * (1 + grow), -top))
+    table = _unit_table(samples, frac, prec)
+    return min(
+        _norm2(*_dft_at(ar, ai, table, frac, k))
+        for k, mag in enumerate(mags)
+        if mag <= cut
+    )
+
+
+def _round_sum(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple[int, int]:
+    """m1 2^e1 + m2 2^e2, summed exactly and rounded once to prec significant
+    bits (nearest, ties to even), as (m, e) standing for m 2^e."""
+    m, e = ((m1 << (e1 - e2)) + m2, e2) if e1 > e2 else (m1 + (m2 << (e2 - e1)), e1)
+    shift = m.bit_length() - prec
+    return (_round_shift(m, shift), e + shift) if shift > 0 else (m, e)
+
+
 def _small_denominators(lam: mpc, order: int, prec: int) -> list[tuple[int, int, int]]:
-    """(d, |d|^2) for d = lam^n - lam, n = 2..order, d at scale 2^(2 (prec + 32))."""
+    """(d, |d|^2) for d = lam^n - lam, n = 2..order, d at scale 2^(2 (prec + 32)).
+
+    lam^n = lam^(n-1) lam and d are rounded as libmp's mpc_mul and mpc_sub
+    round them, but on ints: each part is the exact sum of exact products,
+    rounded once to prec bits, to nearest with ties to even.
+    mpmath's own sum skips the exact sum when its terms are over prec + 4
+    bits apart in size, and rounds the larger with a sticky bit; for a
+    product of two prec-bit parts that need not be correctly rounded, so the
+    chains could differ in the last bit where lam^n nears an axis to within
+    2^-(prec+4) while lam does not.  No tested angle comes near that.
+    """
     scale = 2 * (prec + _GUARD_BITS)
-    z = lam_pow = lam._mpc_
+    (zr, er), (zi, ei) = ((-x[1] if x[0] else x[1], x[2]) for x in lam._mpc_)
+    pr, pe, qr, qe = zr, er, zi, ei  # lam^n = pr 2^pe + i qr 2^qe
     out = []
     for n in range(2, order + 1):
-        lam_pow = mpc_mul(lam_pow, z, prec, round_nearest)
-        dr, di = (_fixed(x, scale) for x in mpc_sub(lam_pow, z, prec, round_nearest))
+        (pr, pe), (qr, qe) = (
+            _round_sum(pr * zr, pe + er, -qr * zi, qe + ei, prec),
+            _round_sum(pr * zi, pe + ei, qr * zr, qe + er, prec),
+        )
+        (dr, dre), (di, die) = (
+            _round_sum(pr, pe, -zr, er, prec),
+            _round_sum(qr, qe, -zi, ei, prec),
+        )
+        dr, di = _round_shift(dr, -(dre + scale)), _round_shift(di, -(die + scale))
         out.append((dr, di, dr * dr + di * di))
         if out[-1][2] < 1 << 2 * (scale - prec + 8):
             raise PrecisionError(
@@ -385,10 +606,14 @@ def inner_radius_probe(
     """Probe min |phi(w)| over equispaced w on the circle |w| = 0.98 * r_hat.
 
     The result is a sampled proxy for the distance from the fixed point to
-    the boundary of the linearization domain.  All samples come from one
-    full-precision exact-integer DFT of the truncated series (not a float
-    FFT), so the minimum is accurate to about log2(S) * 2^-prec * sum |c_n|
-    for S samples and c_n = b_n (0.98 r_hat)^n.
+    the boundary of the linearization domain.  A float FFT of the truncated
+    series screens all S samples; its error has a proven bound of about
+    log2(S) * (6u + 2^(4-prec)) * sum |c_n|, u = 2^-53, c_n = b_n (0.98
+    r_hat)^n (Higham, section 24.1; see _float_plan).  Each sample the bound
+    cannot rule out is then computed in fixed point, exactly as the
+    full-precision exact-integer DFT of all S samples computes it, and the
+    least of those decides the value.  So the value is that DFT's minimum,
+    bit for bit, accurate to about log2(S) * 2^-prec * sum |c_n|.
     """
     if samples < 8:
         raise InvariantError("need at least 8 samples")
@@ -398,8 +623,7 @@ def inner_radius_probe(
     with mp.workprec(series.prec):
         radius = mpf("0.98") * mpf(r_hat)
         re, im = _scaled_fixed(series, radius, frac)
-        xr, xi = _circle_values(re, im, _unit_points(samples, frac), frac)
-        value = _fixed_sqrt(min(map(_norm2, xr, xi)), frac)
+        value = _fixed_sqrt(_circle_min(re, im, samples, frac, series.prec), frac)
         top = abs(series.coeffs[-1]) * radius ** series.order
         tail = top * mpf("0.98") / (1 - mpf("0.98"))
         flagged = bool(tail > mpf("0.01") * value)

@@ -874,6 +874,25 @@ def test_omega_base_past_the_term_bits_ceiling_exits_4(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_omega_checks_every_term_before_any_curve(tmp_path, capsys, monkeypatch):
+    # only term 128 breaks the term-bits ceiling: the error comes before the
+    # first curve, with the message the curve loop would have raised
+    def no_curves(dom, n):
+        raise AssertionError("build_gamma_n called")
+
+    monkeypatch.setattr("quaddyn.combdomain.build_gamma_n", no_curves)
+    out_dir = tmp_path / "out"
+    argv = ["omega", "--depth", "128", "--a-seq", "1/4-4294967295^-k",
+            "--b-seq", "1/3+4294967295^-k", "--res", "16", "--out", str(out_dir)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {
+        "error": "InvariantError",
+        "message": "term 128 has a 4098-bit denominator; 128 times it is above the ceiling 524288",
+    }
+    assert not out_dir.exists()
+
+
 def test_cantor_matches_former_handler(tmp_path, capsys):
     codes = []
     for i, argv in enumerate(_cantor_sweep()):

@@ -1,7 +1,8 @@
 """Fresh-interpreter runs: quaddyn never loads scipy, the float dynamics
 commands must not load mpmath, `import quaddyn.dynamics` and `ray` must not
 load numpy either, the exact commands must not load numpy, mpmath or the
-float renderer, and `python -m quaddyn` must reach the CLI.
+float renderer, radius and ratio-experiment must not load numpy, and
+`python -m quaddyn` must reach the CLI.
 
 Every CLI invocation is a fresh interpreter, so imports are most of a cheap
 command's time.  scipy is no dependency; hausdorff_distance is plain numpy.
@@ -130,6 +131,36 @@ def test_exact_commands_leave_numpy_mpmath_and_renderer_unloaded(tmp_path):
     assert not numpy_loaded
     assert not mpmath_loaded
     assert not dynamics_loaded
+
+
+LINEARIZE_COMMANDS = """
+import contextlib, io, json, sys
+from quaddyn.cli import main
+
+codes = []
+for argv in (["radius", "--cf", "1:rep=1", "--order", "80"],
+             ["ratio-experiment", "--prefix", "1,2,1,1", "--A", "2", "--n", "3..4",
+              "--order", "48"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv + ["--out", OUT]))
+print(json.dumps([codes, "numpy" in sys.modules, "mpmath" in sys.modules]))
+"""
+
+
+def test_linearize_commands_leave_numpy_unloaded(tmp_path):
+    """radius screens its circle with a float FFT in plain Python: importing
+    numpy would cost a fresh interpreter more than the whole probe takes."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"OUT = {str(tmp_path)!r}\n" + LINEARIZE_COMMANDS],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    codes, numpy_loaded, mpmath_loaded = json.loads(proc.stdout)
+    assert codes == [0, 0]
+    assert (tmp_path / "radius.json").exists()
+    assert (tmp_path / "ratio-experiment.csv").exists()
+    assert mpmath_loaded
+    assert not numpy_loaded
 
 
 def test_module_entry_point(tmp_path):

@@ -9,11 +9,12 @@ full-window scan for the root test."""
 
 import math
 import random
-from operator import mul
+from operator import mul, sub
 
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpc_mul, mpc_sub, round_nearest
 
 from quaddyn import linearize
 from quaddyn.cfrac import CFExpansion, brjuno_sum, perturbed_cf
@@ -635,3 +636,161 @@ def test_mantissa_shift_matches_nint(prec):
                 want = oracle_fixed(z.real, frac), oracle_fixed(z.imag, frac)
                 assert _to_fixed(z, frac) == want
 
+
+
+# -- small denominators and the screened probe ---------------------------------
+
+
+def oracle_small_denominators(lam, order, prec):
+    """The mpc chain: lam^n by mpc_mul and lam^n - lam by mpc_sub at prec
+    bits, each difference then shifted to scale 2^(2 (prec + 32))."""
+    scale = 2 * (prec + 32)
+    z = lam_pow = lam._mpc_
+    out = []
+    for n in range(2, order + 1):
+        lam_pow = mpc_mul(lam_pow, z, prec, round_nearest)
+        dr, di = (_fixed(x, scale) for x in mpc_sub(lam_pow, z, prec, round_nearest))
+        out.append((dr, di, dr * dr + di * di))
+        if out[-1][2] < 1 << 2 * (scale - prec + 8):
+            raise PrecisionError(
+                f"small denominator at n={n} is below working precision"
+            )
+    return out
+
+
+def _multiplier(cf, prec):
+    with mp.workprec(prec):
+        return mp.expjpi(2 * cf.value_mpf(prec))
+
+
+@pytest.mark.parametrize("prec", [64, 256, 320])
+def test_small_denominators_match_mpc_chain(prec):
+    # the integer chain rounds each part once, as mpc_mul and mpc_sub do:
+    # every denominator up to order 512 is equal, bit for bit
+    for cf in ORACLE_ANGLES + _bounded_type_angles(30, 25):
+        lam = _multiplier(cf, prec)
+        got = linearize._small_denominators(lam, 512, prec)
+        assert got == oracle_small_denominators(lam, 512, prec), (cf, prec)
+
+
+def test_small_denominators_refuse_the_mpc_chains_index():
+    for cf in ORACLE_ANGLES + _bounded_type_angles(6, 8):
+        lam = _multiplier(cf, 8)
+        with pytest.raises(PrecisionError) as expected:
+            oracle_small_denominators(lam, 400, 8)
+        with pytest.raises(PrecisionError) as got:
+            linearize._small_denominators(lam, 400, 8)
+        assert str(got.value) == str(expected.value)
+
+
+def exact_probe(series, r_hat, samples):
+    """The minimum over all S values of one exact-integer DFT, and the tail
+    flag computed from it."""
+    frac = series.prec + 32
+    with mp.workprec(series.prec):
+        radius = mpf("0.98") * mpf(r_hat)
+        re, im = linearize._scaled_fixed(series, radius, frac)
+        xr, xi = _circle_values(re, im, _unit_points(samples, frac), frac)
+        value = mpf((math.isqrt(min(x * x + y * y for x, y in zip(xr, xi))), -frac))
+        top = abs(series.coeffs[-1]) * radius**series.order
+        tail = top * mpf("0.98") / (1 - mpf("0.98"))
+        return value, bool(tail > mpf("0.01") * value)
+
+
+def _assert_probe_matches_exact(series, r_hat, samples):
+    # the screen recomputes its candidates as the DFT does: the same bits
+    probe = inner_radius_probe(series, r_hat, samples=samples)
+    value, flagged = exact_probe(series, r_hat, samples)
+    assert probe.value._mpf_ == value._mpf_
+    assert probe.tail_flagged == flagged
+
+
+PROBE_SERIES = {}
+
+
+@pytest.mark.parametrize("samples", [8, 24, 64, 97, 200, 512])
+@pytest.mark.parametrize("order", [32, 80, 128, 256, 512, 1024])
+def test_screened_probe_matches_exact_dft(order, samples):
+    # N < S and N >= S (where the fold mod S matters), prime and mixed radices
+    if order not in PROBE_SERIES:
+        cf = _bounded_type_angles(6, order)[order % 6]
+        series = linearization_coeffs(cf, order, 256)
+        PROBE_SERIES[order] = series, conformal_radius_estimate(series).r_hat
+    _assert_probe_matches_exact(*PROBE_SERIES[order], samples)
+
+
+@pytest.mark.parametrize("prec", [12, 16, 24])
+def test_screened_probe_matches_exact_dft_at_low_precision(prec):
+    # at 12 bits the table's 2^(4-prec) error widens the cut to hundreds of
+    # candidates; the value is still the DFT's
+    series = linearization_coeffs(GOLDEN, 32, prec)
+    r_hat = conformal_radius_estimate(series).r_hat
+    for samples in (12, 97, 512):
+        _assert_probe_matches_exact(series, r_hat, samples)
+
+
+def _synthetic_series(scale_bits, keep, seed, order=96):
+    rng = random.Random(seed)
+    with mp.workprec(256):
+        coeffs = tuple(
+            mpc(mpf(rng.uniform(-1, 1)), mpf(rng.uniform(-1, 1))) * mpf(2) ** scale_bits
+            if keep(n) else mpc(0)
+            for n in range(1, order + 1)
+        )
+    return LinearizationSeries(lam=_multiplier(GOLDEN, 256), coeffs=coeffs, prec=256)
+
+
+@pytest.mark.parametrize("samples", [24, 200, 512])
+def test_screened_probe_confirms_every_tied_sample(monkeypatch, samples):
+    # b_n = 0 unless n = 1 mod 4, so phi(i w) = i phi(w): |phi| takes each
+    # value four times on the circle, and every sample of the least one
+    # must be computed in fixed point
+    series = _synthetic_series(0, lambda n: n % 4 == 1, samples)
+    confirmed = []
+    dft_at = linearize._dft_at
+
+    def spy(re, im, table, frac, k):
+        confirmed.append(k)
+        return dft_at(re, im, table, frac, k)
+
+    monkeypatch.setattr(linearize, "_dft_at", spy)
+    _assert_probe_matches_exact(series, mpf(1), samples)
+    assert len(confirmed) >= 4
+    quarter = samples // 4
+    assert {k % quarter for k in confirmed} == {confirmed[0] % quarter}
+
+
+def test_screened_probe_scales_ints_beyond_the_float_range():
+    # |b_n| near 2^1500: the scaled ints hold about 1800 bits, and float()
+    # of one overflows, so the screen reads them after one shift
+    series = _synthetic_series(1500, lambda n: True, 7)
+    frac = 256 + 32
+    with mp.workprec(256):
+        re, _ = linearize._scaled_fixed(series, mpf("0.98"), frac)
+    assert max(abs(x) for x in re).bit_length() > 1024
+    with pytest.raises(OverflowError):
+        float(re[1])
+    for samples in (64, 97):
+        _assert_probe_matches_exact(series, mpf(1), samples)
+
+
+@pytest.mark.parametrize("samples", [8, 12, 97, 200, 512])
+def test_float_transform_within_its_bound(samples):
+    # the screen's error against an exact transform stays under the bound
+    # _float_plan proves, on random inputs up to the scale the probe uses
+    rng = random.Random(samples)
+    frac, prec = 288, 256
+    stages, rel = linearize._float_plan(samples, frac, prec)
+    table = linearize._unit_table(samples, frac, prec)
+    for order in (samples // 2, samples, 3 * samples):
+        re = [rng.randint(-(1 << frac), 1 << frac) for _ in range(order)]
+        im = [rng.randint(-(1 << frac), 1 << frac) for _ in range(order)]
+        ar, ai = linearize._fold(re, im, samples)
+        xr, xi = _circle_values(re, im, table, frac)
+        top = max(map(abs, ar + ai)).bit_length()
+        screen = [complex(a / 2**top, b / 2**top) for a, b in zip(ar, ai)]
+        got = linearize._float_transform(screen, stages)
+        mass = sum(map(abs, ar + ai)) / 2**top
+        want = [complex(x / 2**top, y / 2**top) for x, y in zip(xr, xi)]
+        worst = max(map(abs, map(sub, got, want)))
+        assert worst <= rel * mass, (samples, order, worst / mass, rel)
