@@ -15,7 +15,6 @@ from .errors import InvariantError
 __all__ = [
     "Angle",
     "double",
-    "circle_distance",
     "cyclic_sort",
 ]
 
@@ -64,12 +63,6 @@ class Angle:
 def double(a: Angle) -> Angle:
     """Image of a under x -> 2x mod 1."""
     return Angle(2 * a.fraction)
-
-
-def circle_distance(a: Angle, b: Angle) -> Fraction:
-    """Shorter arc length between two angles; values lie in [0, 1/2]."""
-    d = abs(a.fraction - b.fraction)
-    return min(d, 1 - d)
 
 
 def cyclic_sort(angles: Iterable[Angle]) -> list[Angle]:

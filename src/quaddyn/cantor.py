@@ -217,9 +217,6 @@ class CantorCover:
     arcs: tuple[CircleInterval, ...]
     hausdorff_bound: Fraction
 
-    def total_length(self) -> Fraction:
-        return sum((a.width for a in self.arcs), Fraction(0))
-
 
 def _default_prec(depth: int) -> int:
     """cover's default working precision, which the CLI also records."""

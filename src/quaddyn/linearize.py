@@ -17,20 +17,21 @@ bits as mpmath's mpc arithmetic rounds it: the absolute error on b_n is
 N * 2^-(prec+32) * 2^(s n) for an order-N series, and every rounding is
 relative at most 2^-(prec+16), as s steps down until each |c_n| keeps
 f - 16 bits.  The circle is sampled at S equispaced points u_k, where the
-radius-scaled coefficients fold mod S exactly (u^S = 1), and the S-th
-roots of unity come from a table whose entries are within 2^(4-prec) of
-exact.  The residual transforms the folded sums by one exact-integer
-mixed-radix DFT, so each value is off by about log2(S) * 2^-prec *
-sum |c_n| plus (N + S) * 2^-(prec+32), and it resolves defects far below
-1e-60 at 256 bits.  The probe needs only the least |phi(u_k)|: a float
-transform screens all S samples, with a proven error bound of about
-log2(S) * (6u + 2^(4-prec)) * sum |c_n| for u = 2^-53 (Higham, Accuracy
-and Stability of Numerical Algorithms, section 24.1), and only the samples
-that bound cannot rule out are computed in fixed point, each exactly as
-the DFT computes it.  Those exact values decide the reported minimum,
-which is the DFT's, bit for bit.  mpf -> int is one exact mantissa shift,
-independent of mp.prec; the public values stay mpmath numbers at prec
-bits.
+radius-scaled coefficients fold mod S exactly (u^S = 1).  One memoised
+plan serves every S-point transform: its table of S-th roots of unity,
+each within 2^(4-prec) of exact, and its mixed-radix stages, each a gather
+and one twiddle product per term.  _dft runs the stages on ints; the
+residual transforms the folded sums so, each value off by about log2(S) *
+2^-prec * sum |c_n| plus (N + S) * 2^-(prec+32), which resolves defects
+far below 1e-60 at 256 bits.  The probe needs only the least |phi(u_k)|:
+_float_dft runs the same stages on complex floats, with a proven error
+bound of about log2(S) * (6u + 2^(4-prec)) * sum |c_n| for u = 2^-53
+(Higham, Accuracy and Stability of Numerical Algorithms, section 24.1),
+and only the samples that bound cannot rule out are computed in fixed
+point, each exactly as _dft computes it.  Those exact values decide the
+reported minimum, which is the DFT's, bit for bit.  mpf -> int is one
+exact mantissa shift, independent of mp.prec; the public values stay
+mpmath numbers at prec bits.
 """
 
 from __future__ import annotations
@@ -130,83 +131,159 @@ def _scaled_fixed(
     return re, im
 
 
-def _unit_points(samples: int, frac: int) -> tuple[tuple[int, int], ...]:
-    """exp(2 pi i k / S) for k < S as fixed-point pairs.
-
-    Each is within 2^(4 - mp.prec) of the exact root: rounding the angle
-    2k/S to mp.prec bits moves it by at most pi 2^-prec, and each part of
-    expjpi and of the fixed-point pair adds a rounding.  When 8 divides S
-    only the first octant, k <= S/8, is evaluated.  The rest follows
-    exactly: cos and sin swap across pi/4, a quarter turn maps (x, y) to
-    (-y, x) and a half turn to (-x, -y).  The table is memoised per
-    (S, frac, mp.prec), the three things it depends on.
-    """
-    return _unit_table(samples, frac, mp.prec)
+def _radices(n: int) -> list[int]:
+    """The prime factors of n, smallest first, with multiplicity."""
+    radices, d = [], 2
+    while d * d <= n:
+        if n % d:
+            d += 1
+        else:
+            radices.append(d)
+            n //= d
+    return radices + [n] * (n > 1)
 
 
 @lru_cache(maxsize=16)
-def _unit_table(samples: int, frac: int, prec: int) -> tuple[tuple[int, int], ...]:
-    def root(k: int) -> tuple[int, int]:
-        return _to_fixed(mp.expjpi(mpf(2 * k) / samples), frac)
+def _plan(
+    samples: int, frac: int, prec: int
+) -> tuple[tuple[tuple[int, int], ...], list]:
+    """The root table and the stages of the S-point transform X_k = sum_j
+    a_j w^(jk), w = exp(2 pi i / S): the one memo behind every transform.
 
-    if samples % 8:
-        return tuple(root(k) for k in range(samples))
-    points = [root(k) for k in range(samples // 8 + 1)]
-    points += [(y, x) for x, y in reversed(points[1:-1])]
-    points += [(-y, x) for x, y in points]
-    return tuple(points + [(-x, -y) for x, y in points])
+    table[k] is exp(2 pi i k / S) as a fixed-point pair, built at prec bits
+    whatever mp.prec is, and within 2^(4 - prec) of the exact root: rounding
+    the angle 2k/S moves it by at most pi 2^-prec, and each part of expjpi
+    and of the pair adds a rounding.  When 8 divides S only the first
+    octant is evaluated.  The rest follows exactly: cos and sin swap across
+    pi/4, a quarter turn maps (x, y) to (-y, x) and a half turn to (-x, -y).
+
+    Stockham form (Van Loan, Computational Frameworks for the Fast Fourier
+    Transform, ch. 1): with C residue classes left and transforms of size L
+    done, y[c + C k] = sum_t a_(c + C t) w_L^(t k) for c < C and k < L.  A
+    stage of radix p, C = p C', gathers block r < p holding y[c + C' (r + p
+    k)] at e = c + C' k, and output block v < p is sum_r w_(pL)^(r (k + L
+    v)) (block r)[e]: one combined twiddle per term, the products of the
+    recursive decimation in time that splits off the smallest prime first,
+    so the stages take the radices in reverse.  Radix 2 has the one
+    twiddle w_(2L)^k for the sum and the difference.  A stage holds p, its
+    gather, and for r = 1..p-1 the twiddle of every output element, as the
+    int triples (wr, wr + wi, wi - wr) that _twiddled takes and as floats.
+    """
+    with mp.workprec(prec):
+        def root(k: int) -> tuple[int, int]:
+            return _to_fixed(mp.expjpi(mpf(2 * k) / samples), frac)
+
+        if samples % 8:
+            table = [root(k) for k in range(samples)]
+        else:
+            table = [root(k) for k in range(samples // 8 + 1)]
+            table += [(y, x) for x, y in reversed(table[1:-1])]
+            table += [(-y, x) for x, y in table]
+            table += [(-x, -y) for x, y in table]
+    scale = 1 << frac
+    triples = [(x, x + y, y - x) for x, y in table]
+    roots = [complex(x / scale, y / scale) for x, y in table]
+    stages, classes, size = [], samples, 1
+    for p in reversed(_radices(samples)):
+        classes //= p
+        order = [
+            c + classes * (r + p * k)
+            for r in range(p) for k in range(size) for c in range(classes)
+        ]
+        # output o = v S/p + c + C' k, so k + L v = o // C'
+        outputs = range(samples // 2 if p == 2 else samples)
+        twiddles = [
+            [r * (o // classes) % (p * size) * classes for o in outputs]
+            for r in range(1, p)
+        ]
+        ints = [tuple(zip(*map(triples.__getitem__, tw))) for tw in twiddles]
+        floats = [list(map(roots.__getitem__, tw)) for tw in twiddles]
+        stages.append((p, itemgetter(*order), ints, floats))
+        size *= p
+    return tuple(table), stages
 
 
-def _factor(n: int) -> int:
-    """The smallest prime factor of n > 1."""
-    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+def _twiddled(
+    w: tuple[Iterable[int], ...], re: Sequence[int], im: Sequence[int], frac: int
+) -> tuple[Iterator[int], Iterator[int]]:
+    """w * (re + i im) elementwise, for w given as the triples (wr, wr + wi,
+    wi - wr) of each element: three products and one truncation per part."""
+    wr, ws, wd = w
+    t = list(map(mul, wr, map(add, re, im)))
+    return (
+        map(rshift, map(sub, t, map(mul, ws, im)), repeat(frac)),
+        map(rshift, map(add, t, map(mul, wd, re)), repeat(frac)),
+    )
 
 
 def _dft(
-    re: list[int], im: list[int], table: Sequence[tuple[int, int]], frac: int
+    re: list[int], im: list[int], stages: list, frac: int
 ) -> tuple[list[int], list[int]]:
-    """X_k = sum_j a_j w^(jk) for k < n = len(re), with w = exp(2 pi i / n).
+    """X_k = sum_j a_j w^(jk) for k < S = len(re), on ints, by the stages of
+    _plan(S, frac, prec).
 
-    Mixed-radix decimation in time: the p subsequences a_(r + p t), for p
-    the smallest prime factor of n, are transformed recursively and then
-    recombined with twiddles w^(rk).  table holds the len(table)-th roots of
-    unity, and n divides len(table), so w^e is table[(e mod n) * stride].
-    Each twiddle product costs three integer products and truncates once;
-    a prime n costs n^2 of them.
+    Each product is the one the recursive mixed-radix decimation in time
+    makes, truncated once as it truncates, and int sums are exact, so the
+    outputs are that recursion's bit for bit.  A prime S costs S (S - 1)
+    products.
     """
-    n = len(re)
-    if n == 1:
-        return re, im
-    p = _factor(n)
-    m, stride = n // p, len(table) // n
-    subs = [_dft(re[r::p], im[r::p], table, frac) for r in range(p)]
-    if p == 2:
-        # X_(k + m) = Y_0[k] - w^k Y_1[k]: one product serves two outputs
-        (er, ei), (odr, odi) = subs
-        lo_r, lo_i, hi_r, hi_i = [], [], [], []
-        for k in range(m):
-            wr, wi = table[k * stride]
-            a, b = odr[k], odi[k]
-            t = wr * (a + b)
-            tr, ti = (t - b * (wr + wi)) >> frac, (t + a * (wi - wr)) >> frac
-            lo_r.append(er[k] + tr)
-            lo_i.append(ei[k] + ti)
-            hi_r.append(er[k] - tr)
-            hi_i.append(ei[k] - ti)
-        return lo_r + hi_r, lo_i + hi_i
-    out_r, out_i = [], []
-    for k in range(n):
-        j = k % m
-        sr, si = subs[0][0][j], subs[0][1][j]
-        for r in range(1, p):
-            wr, wi = table[(r * k % n) * stride]
-            a, b = subs[r][0][j], subs[r][1][j]
-            t = wr * (a + b)
-            sr += (t - b * (wr + wi)) >> frac
-            si += (t + a * (wi - wr)) >> frac
-        out_r.append(sr)
-        out_i.append(si)
-    return out_r, out_i
+    for p, gather, ints, _ in stages:
+        gr, gi = gather(re), gather(im)
+        m = len(gr) // p
+        if p == 2:
+            tr, ti = map(list, _twiddled(ints[0], gr[m:], gi[m:], frac))
+            re = [*map(add, gr[:m], tr), *map(sub, gr[:m], tr)]
+            im = [*map(add, gi[:m], ti), *map(sub, gi[:m], ti)]
+            continue
+        re, im = gr[:m] * p, gi[:m] * p
+        for r, w in enumerate(ints, 1):
+            part = slice(r * m, (r + 1) * m)
+            tr, ti = _twiddled(w, gr[part] * p, gi[part] * p, frac)
+            re, im = list(map(add, re, tr)), list(map(add, im, ti))
+    return re, im
+
+
+def _float_dft(values: list[complex], stages: list) -> list[complex]:
+    """X_k = sum_j a_j w^(jk) for k < S = len(values), in floats, by the
+    same stages: one product per term, and radix 2's serves two outputs."""
+    for p, gather, _, floats in stages:
+        g = gather(values)
+        m = len(g) // p
+        if p == 2:
+            lo, t = g[:m], list(map(mul, floats[0], g[m:]))
+            values = [*map(add, lo, t), *map(sub, lo, t)]
+            continue
+        values = g[:m] * p
+        for r, w in enumerate(floats, 1):
+            values = list(map(add, values, map(mul, w, g[r * m : (r + 1) * m] * p)))
+    return values
+
+
+_U = 2.0**-53  # unit roundoff of a float
+
+
+def _float_bound(samples: int, prec: int) -> float:
+    """rel with |_float_dft - X_k| <= rel * sum_j |a_j| for every k.
+
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.: Lemma
+    3.5 for a complex product, 3u for sqrt(2) gamma_2; section 24.1 for the
+    transform.  Every intermediate value is a partial sum over a residue
+    class of the inputs, bounded by that class's mass sum |a_j|.  The
+    float twiddles are within mu = 2u + 2^(4-prec) of the exact roots.  A
+    stage multiplies each term once (a factor 1 + mu + 3u of error) and
+    sums p terms (gamma_(p-1)), so with the input rounding (u), |X^_k -
+    X_k| <= (exp(s) - 1) sum_j |a_j|, s = u + sum over stages of those
+    terms.  The bound returned is exp(2 s) - 1, which is at least exp(s) -
+    1 + s and so leaves over 6u sum |a_j| for the rounding of |X^_k|, of
+    the cut built from it, and of the mass itself.  Absolute errors from
+    underflow and from the input shift stay below S 2^-998 at the scale
+    the screen uses (max |a_j| of at least 1/2), far inside that margin.
+    """
+    mu = 2 * _U + 2.0 ** (4 - prec)
+    s = _U
+    for p in _radices(samples):
+        s += mu + 3 * _U + (p - 1) * _U / (1 - (p - 1) * _U)
+    return expm1(2 * s)
 
 
 def _fold(
@@ -224,144 +301,45 @@ def _fold(
 
 
 def _circle_values(
-    re: list[int], im: list[int], table: Sequence[tuple[int, int]], frac: int
+    re: list[int], im: list[int], samples: int, frac: int, prec: int
 ) -> tuple[list[int], list[int]]:
-    """sum_n c_n u_k^n at the S = len(table) points u_k = table[k], by one
-    S-point transform of the folded coefficients."""
-    return _dft(*_fold(re, im, len(table)), table, frac)
-
-
-_U = 2.0**-53  # unit roundoff of a float
-
-
-@lru_cache(maxsize=16)
-def _float_plan(samples: int, frac: int, prec: int) -> tuple[list, float]:
-    """The stages of the float S-point transform, and its error bound.
-
-    Stockham form: after stages of radices whose product is L, the list y
-    holds y[c + r k] = sum_t a_(c + r t) w^(t k S / L) for c < r = S / L and
-    k < L, w = exp(2 pi i / S).  A stage of radix p (r = p r') gathers y
-    into p blocks, block u holding y[r k + r' u + c'] at c' + r' k; block u
-    is multiplied by the twiddles w^(u k r'), and output block v is
-    sum_u w^(u v S / p) (block u), so that it holds y[c' + r' (k + L v)] of
-    the next L' = p L.  Radix 2 needs no second product: its output blocks
-    are the sum and the difference.  The floats come from the fixed-point
-    table, so each twiddle is within mu = 2u + 2^(4-prec) of the exact root.
-
-    The bound (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed.: Lemma 3.5 for a complex product, 3u for sqrt(2) gamma_2; section
-    24.1 for the transform): every intermediate value is a partial sum over
-    a residue class of the inputs, bounded by that class's mass sum |a_j|.
-    A stage multiplies each term at most twice (each a factor 1 + mu + 3u
-    of error, counting the twiddle's) and sums p terms (gamma_(p-1)), so
-    with the input rounding (u), |X^_k - X_k| <= (exp(s) - 1) sum_j |a_j|,
-    s = u + sum over stages of those terms.  The bound returned is
-    exp(2 s) - 1, which is at least exp(s) - 1 + s and so leaves over 6u
-    sum |a_j| for the rounding of |X^_k|, of the cut built from it, and of
-    the mass itself.  Absolute errors from underflow and from the input
-    shift stay below S 2^-998 at the scale the screen uses (max |a_j| of
-    at least 1/2), far inside that margin.
-    """
-    scale = 1 << frac
-    table = _unit_table(samples, frac, prec)
-    roots = [complex(x / scale, y / scale) for x, y in table]
-    mu = 2 * _U + 2.0 ** (4 - prec)
-    stages, span, s = [], 1, _U
-    while span < samples:
-        rest = samples // span
-        p = _factor(rest)
-        step = rest // p
-        order = [
-            rest * k + step * u + c
-            for u in range(p)
-            for k in range(span)
-            for c in range(step)
-        ]
-        twiddles = [
-            [roots[u * k * step % samples] for k in range(span) for _ in range(step)]
-            for u in range(1, p)
-        ]
-        spins = [
-            [roots[u * v * (samples // p) % samples] for u in range(1, p)]
-            for v in range(p)
-        ]
-        stages.append((p, itemgetter(*order), twiddles, spins))
-        products = 1 if p == 2 else 2
-        s += products * (mu + 3 * _U) + (p - 1) * _U / (1 - (p - 1) * _U)
-        span *= p
-    return stages, expm1(2 * s)
-
-
-def _float_transform(values: list[complex], stages: list) -> list[complex]:
-    """X_k = sum_j a_j w^(j k) for all k < S, in floats, by the stages of
-    _float_plan."""
-    for p, gather, twiddles, spins in stages:
-        g = gather(values)
-        m = len(g) // p
-        z = [g[:m]]
-        for u, tw in enumerate(twiddles, 1):
-            z.append(list(map(mul, tw, g[u * m : (u + 1) * m])))
-        if p == 2:
-            values = [*map(add, *z), *map(sub, *z)]
-            continue
-        values = []
-        for row in spins:
-            acc = z[0]
-            for w, zu in zip(row, z[1:]):
-                acc = map(add, acc, map(w.__mul__, zu))
-            values += acc
-    return values
-
-
-def _twiddled(
-    w: tuple[int, int], re: list[int], im: list[int], frac: int
-) -> tuple[Iterator[int], Iterator[int]]:
-    """w * (re + i im) elementwise, by _dft's three products and one
-    truncation per part."""
-    wr, wi = w
-    t = list(map(wr.__mul__, map(add, re, im)))
-    return (
-        map(rshift, map(sub, t, map((wr + wi).__mul__, im)), repeat(frac)),
-        map(rshift, map(add, t, map((wi - wr).__mul__, re)), repeat(frac)),
-    )
+    """sum_n c_n u_k^n at the S = samples points u_k = exp(2 pi i k / S), by
+    one S-point transform of the folded coefficients."""
+    return _dft(*_fold(re, im, samples), _plan(samples, frac, prec)[1], frac)
 
 
 def _dft_at(
     re: list[int], im: list[int], table: Sequence[tuple[int, int]], frac: int, k: int
 ) -> tuple[int, int]:
-    """X_k of _dft(re, im, table, frac), bit for bit.
+    """X_k of _dft, bit for bit, for table the root table of its plan.
 
-    _dft's sums and truncations for the one output, level by level from the
-    leaves: at each level the transforms of the residue classes mod P need
-    only their output k mod (n / P), and all classes share its twiddles.
-    That is n - 1 products, fewer when the classes past the last nonzero
-    input are zero and a level only passes its first child on.
+    The stages' sums and truncations for the one output: at each stage the
+    transforms of the residue classes need only their output k mod L, and
+    all classes share its twiddle.  That is S - 1 products, fewer when the
+    classes past the last nonzero input are zero and a stage only passes
+    its first block on.
     """
     n = len(re)
-    radices, m = [], n
-    while m > 1:
-        radices.append(_factor(m))
-        m //= radices[-1]
     nonzero = max((j + 1 for j in range(n) if re[j] or im[j]), default=0)
     classes = n
-    for p in reversed(radices):
+    for p in reversed(_radices(n)):
         classes //= p
         if classes >= nonzero:
             re, im = re[:classes], im[:classes]
             continue
         size = n // classes
-        kd, half, stride = k % size, size // p, len(table) // size
+        kd, half = k % size, size // 2
         if p == 2:
-            w = table[kd % half * stride]
-            tr, ti = _twiddled(w, re[classes:], im[classes:], frac)
-            op = add if kd < half else sub
-            re, im = list(map(op, re[:classes], tr)), list(map(op, im[:classes], ti))
-            continue
+            terms = [(1, kd % half, add if kd < half else sub)]
+        else:
+            terms = [(r, r * kd % size, add) for r in range(1, p)]
         sr, si = re[:classes], im[:classes]
-        for t in range(1, p):
-            part = slice(t * classes, (t + 1) * classes)
-            tr, ti = _twiddled(table[t * kd % size * stride], re[part], im[part], frac)
-            sr, si = list(map(add, sr, tr)), list(map(add, si, ti))
+        for r, e, op in terms:
+            wr, wi = table[e * classes]
+            part = slice(r * classes, (r + 1) * classes)
+            w = repeat(wr), repeat(wr + wi), repeat(wi - wr)
+            tr, ti = _twiddled(w, re[part], im[part], frac)
+            sr, si = list(map(op, sr, tr)), list(map(op, si, ti))
         re, im = sr, si
     return re[0], im[0]
 
@@ -369,21 +347,22 @@ def _dft_at(
 def _circle_min(
     re: list[int], im: list[int], samples: int, frac: int, prec: int
 ) -> int:
-    """min(map(_norm2, *_circle_values(re, im, table, frac))), bit for bit,
-    for the table of S = samples roots at prec bits.
+    """min(map(_norm2, *_circle_values(re, im, samples, frac, prec))), bit
+    for bit.
 
-    A float transform screens all S samples; only those within twice the
-    bound on |screen - _dft| of the screen's minimum go through _dft_at, and
-    they include the sample whose _dft norm is least.  The bound adds the
-    screen's (_float_plan) to _dft's own error against the exact sum: by
-    induction over its levels, each adds the twiddle error tau = 2^(4-prec)
-    on its mass and a truncation under sqrt 2 per product, so _dft is off by
-    at most ((1 + tau)^levels - 1) sum |a_j| + 2 S (1 + tau)^levels.  The
-    ints are scaled by one power of two, 2^-top for top the largest bit
-    length (read after a shift that keeps 1000 bits), so no float overflows.
+    _float_dft screens all S samples on the plan's stages; only those within
+    twice the bound on |screen - _dft| of the screen's minimum go through
+    _dft_at, and they include the sample whose _dft norm is least.  The
+    bound adds the screen's (_float_bound) to _dft's own error against the
+    exact sum: by induction over its stages, each adds the twiddle error
+    tau = 2^(4-prec) on its mass and a truncation under sqrt 2 per product,
+    so _dft is off by at most ((1 + tau)^levels - 1) sum |a_j| + 2 S (1 +
+    tau)^levels.  The ints are scaled by one power of two, 2^-top for top
+    the largest bit length (read after a shift that keeps 1000 bits), so no
+    float overflows.
     """
     ar, ai = _fold(re, im, samples)
-    stages, rel = _float_plan(samples, frac, prec)
+    table, stages = _plan(samples, frac, prec)
     top = max(map(abs, ar + ai)).bit_length()
     shift = max(0, top - 1000)
     f = 2.0 ** (shift - top)
@@ -391,12 +370,11 @@ def _circle_min(
         complex(float(a >> shift) * f, float(b >> shift) * f) if a or b else 0j
         for a, b in zip(ar, ai)
     ]
-    mags = list(map(abs, _float_transform(screen, stages)))
+    mags = list(map(abs, _float_dft(screen, stages)))
     grow = expm1(len(stages) * log1p(2.0 ** (4 - prec)))
     mass = sum(map(abs, ar)) + sum(map(abs, ai))  # at least sum |a_j|
-    slack = (rel + grow) * float(mass >> shift) * f
+    slack = (_float_bound(samples, prec) + grow) * float(mass >> shift) * f
     cut = min(mags) + 2 * (slack + ldexp(2 * samples * (1 + grow), -top))
-    table = _unit_table(samples, frac, prec)
     return min(
         _norm2(*_dft_at(ar, ai, table, frac, k))
         for k, mag in enumerate(mags)
@@ -606,14 +584,15 @@ def inner_radius_probe(
     """Probe min |phi(w)| over equispaced w on the circle |w| = 0.98 * r_hat.
 
     The result is a sampled proxy for the distance from the fixed point to
-    the boundary of the linearization domain.  A float FFT of the truncated
-    series screens all S samples; its error has a proven bound of about
-    log2(S) * (6u + 2^(4-prec)) * sum |c_n|, u = 2^-53, c_n = b_n (0.98
-    r_hat)^n (Higham, section 24.1; see _float_plan).  Each sample the bound
-    cannot rule out is then computed in fixed point, exactly as the
-    full-precision exact-integer DFT of all S samples computes it, and the
-    least of those decides the value.  So the value is that DFT's minimum,
-    bit for bit, accurate to about log2(S) * 2^-prec * sum |c_n|.
+    the boundary of the linearization domain.  The plan's stages run on
+    complex floats to screen all S samples, one product per term, within a
+    proven bound of about log2(S) * (6u + 2^(4-prec)) * sum |c_n|, u =
+    2^-53, c_n = b_n (0.98 r_hat)^n (Higham, section 24.1; see
+    _float_bound).  Each sample the bound cannot rule out is then computed
+    in fixed point, exactly as the same stages on ints compute all S
+    samples, and the least of those decides the value.  So the value is
+    that exact-integer DFT's minimum, bit for bit, accurate to about
+    log2(S) * 2^-prec * sum |c_n|.
     """
     if samples < 8:
         raise InvariantError("need at least 8 samples")
@@ -657,9 +636,8 @@ def functional_residual(
             rot_r.append((cr * pr - ci * pi) >> frac)
             rot_i.append((cr * pi + ci * pr) >> frac)
             pr, pi = (pr * lr - pi * li) >> frac, (pr * li + pi * lr) >> frac
-        table = _unit_points(samples, frac)
-        fr, fi = _circle_values(re, im, table, frac)
-        qr, qi = _circle_values(rot_r, rot_i, table, frac)
+        fr, fi = _circle_values(re, im, samples, frac, series.prec)
+        qr, qi = _circle_values(rot_r, rot_i, samples, frac, series.prec)
         worst = max(
             _norm2(
                 q_r - ((lr * f_r - li * f_i + f_r * f_r - f_i * f_i) >> frac),

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from quaddyn import cardioid
-from quaddyn.angles import Angle, circle_distance, double
+from quaddyn.angles import Angle, double
 from quaddyn.cardioid import (
     ExternalAngle,
     _rotation_word,
@@ -20,6 +20,13 @@ from quaddyn.cardioid import (
 )
 from quaddyn.cfrac import CFExpansion, _convergents, cf_expand
 from quaddyn.errors import InvariantError, PrecisionError
+
+
+def circle_distance(a, b):
+    """Shorter arc length between two angles, in [0, 1/2]."""
+    d = abs(a.fraction - b.fraction)
+    return min(d, 1 - d)
+
 
 GOLDEN = CFExpansion((), (1,))
 

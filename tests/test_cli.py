@@ -785,7 +785,7 @@ def _former_cantor(argv):
     doc = {
         "depth": result.depth,
         "arc_count": len(result.arcs),
-        "total_length": str(result.total_length()),
+        "total_length": str(sum(a.width for a in result.arcs)),
         "hausdorff_bound": str(result.hausdorff_bound),
         "arcs": [{"lo": str(a.lo), "hi": str(a.hi)} for a in result.arcs],
     }

@@ -4,19 +4,26 @@ fixed point: coefficient identities, radius estimates, probes, distortion.
 The fixed-point kernel is checked against oracles: the plain convolution
 recursion and Horner evaluation in mpc at the series' own precision, the
 unscaled fixed-point recursion for the radius-normalised one, mp.nint for the
-mantissa-shift conversion, a direct mpc sum for the circle DFT, and the
-full-window scan for the root test."""
+mantissa-shift conversion, a direct mpc sum and the recursive mixed-radix
+decimation in time for the circle DFT, and the full-window scan for the root
+test."""
 
+import ast
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from operator import mul, sub
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import mpc_mul, mpc_sub, round_nearest
 
-from quaddyn import linearize
+from quaddyn import cli, linearize
 from quaddyn.cfrac import CFExpansion, brjuno_sum, perturbed_cf
 from quaddyn.errors import InvariantError, PrecisionError
 from quaddyn.linearize import (
@@ -24,7 +31,6 @@ from quaddyn.linearize import (
     _circle_values,
     _fixed,
     _to_fixed,
-    _unit_points,
     conformal_radius_estimate,
     functional_residual,
     inner_radius_probe,
@@ -122,6 +128,50 @@ def oracle_evaluate(series, w):
 def oracle_unit_points(samples, frac):
     """One mp.expjpi per sample, no symmetry."""
     return tuple(_to_fixed(mp.expjpi(mpf(2 * k) / samples), frac) for k in range(samples))
+
+
+def oracle_dft(re, im, table, frac):
+    """X_k = sum_j a_j w^(jk) for k < n = len(re), with w = exp(2 pi i / n).
+
+    Mixed-radix decimation in time: the p subsequences a_(r + p t), for p
+    the smallest prime factor of n, are transformed recursively and then
+    recombined with twiddles w^(rk).  table holds the len(table)-th roots of
+    unity, and n divides len(table), so w^e is table[(e mod n) * stride].
+    Each twiddle product costs three integer products and truncates once.
+    """
+    n = len(re)
+    if n == 1:
+        return re, im
+    p = linearize._radices(n)[0]
+    m, stride = n // p, len(table) // n
+    subs = [oracle_dft(re[r::p], im[r::p], table, frac) for r in range(p)]
+    if p == 2:
+        # X_(k + m) = Y_0[k] - w^k Y_1[k]: one product serves two outputs
+        (er, ei), (odr, odi) = subs
+        lo_r, lo_i, hi_r, hi_i = [], [], [], []
+        for k in range(m):
+            wr, wi = table[k * stride]
+            a, b = odr[k], odi[k]
+            t = wr * (a + b)
+            tr, ti = (t - b * (wr + wi)) >> frac, (t + a * (wi - wr)) >> frac
+            lo_r.append(er[k] + tr)
+            lo_i.append(ei[k] + ti)
+            hi_r.append(er[k] - tr)
+            hi_i.append(ei[k] - ti)
+        return lo_r + hi_r, lo_i + hi_i
+    out_r, out_i = [], []
+    for k in range(n):
+        j = k % m
+        sr, si = subs[0][0][j], subs[0][1][j]
+        for r in range(1, p):
+            wr, wi = table[(r * k % n) * stride]
+            a, b = subs[r][0][j], subs[r][1][j]
+            t = wr * (a + b)
+            sr += (t - b * (wr + wi)) >> frac
+            si += (t + a * (wi - wr)) >> frac
+        out_r.append(sr)
+        out_i.append(si)
+    return out_r, out_i
 
 
 def _oracle_circle(radius, samples):
@@ -288,15 +338,13 @@ def test_circle_values_match_direct_sum(samples):
     # matters), against a direct mpc sum over a twice-as-precise circle.
     prec, frac = 128, 160
     rng = random.Random(samples)
-    with mp.workprec(prec):
-        table = _unit_points(samples, frac)
     ks = sorted(set(range(0, samples, max(1, samples // 48))) | {samples - 1})
     # the twiddles carry 2^-prec each, over at most log2(S) levels
     levels = math.ceil(math.log2(samples)) + 1
     for order in (samples // 2, samples, 2 * samples + 3):
         re = [rng.randint(-(1 << frac), 1 << frac) for _ in range(order + 1)]
         im = [rng.randint(-(1 << frac), 1 << frac) for _ in range(order + 1)]
-        xr, xi = _circle_values(re, im, table, frac)
+        xr, xi = _circle_values(re, im, samples, frac, prec)
         with mp.workprec(2 * prec):
             roots = [mp.expjpi(mpf(2 * k) / samples) for k in range(samples)]
             coeffs = [mpc(mpf((r, -frac)), mpf((i, -frac))) for r, i in zip(re, im)]
@@ -361,9 +409,10 @@ def test_unit_points_match_per_sample_table(prec):
     frac = prec + 32
     with mp.workprec(prec):
         for samples in (2**e for e in range(3, 13)):
-            assert _unit_points(samples, frac) == oracle_unit_points(samples, frac)
+            table = linearize._plan(samples, frac, prec)[0]
+            assert table == oracle_unit_points(samples, frac)
         for samples in (8, 9, 12, 24, 97, 200, 776):
-            got = _unit_points(samples, frac)
+            got = linearize._plan(samples, frac, prec)[0]
             want = oracle_unit_points(samples, frac)
             assert len(got) == samples
             for (x, y), (u, v) in zip(got, want):
@@ -381,17 +430,48 @@ def test_unit_point_memo_changes_no_bit():
 
     cold = {}
     for prec, s in series.items():
-        linearize._unit_table.cache_clear()
+        linearize._plan.cache_clear()
         cold[prec] = run(s)
     for prec in (256, 128, 256, 128):
         assert run(series[prec]) == cold[prec]
-    # the table depends on mp.prec, not on frac alone
+    # the table depends on prec, not on frac alone, and not on mp.prec
     tables = {}
     for prec in (64, 256, 64):
+        tables[prec] = linearize._plan(512, 288, prec)[0]
         with mp.workprec(prec):
-            tables[prec] = _unit_points(512, 288)
             assert tables[prec] == oracle_unit_points(512, 288)
     assert tables[64] != tables[256]
+
+
+def test_plan_built_at_the_ambient_precision_changes_no_output(tmp_path, capsys):
+    # the memo is keyed by prec: a plan first built with mp.prec at 53 bits
+    # must still hold the 256-bit roots a fresh interpreter's radius uses
+    argv = ["radius", "--cf", "1:rep=1", "--order", "80", "--json", "--out"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "quaddyn", *argv, str(tmp_path / "fresh")],
+        env=dict(os.environ, PYTHONPATH=str(Path(linearize.__file__).parents[1])),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    linearize._plan.cache_clear()
+    with mp.workprec(53):
+        linearize._plan(512, 288, 256)
+    assert cli.main([*argv, str(tmp_path / "warm")]) == 0
+    assert capsys.readouterr().out == fresh.stdout
+    assert json.loads(fresh.stdout)["inner_radius"] == 0.018541968210261144
+
+
+def test_linearize_holds_one_memo():
+    # _plan is keyed by all it is built from; a second memo keyed by less
+    # could hand a probe a root table built at another precision
+    tree = ast.parse(Path(linearize.__file__).read_text())
+    memoised = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for dec in node.decorator_list
+        if "cache" in ast.unparse(dec)
+    ]
+    assert memoised == ["_plan"]
 
 
 @pytest.mark.parametrize("r_hat", [0, -0.3])
@@ -690,7 +770,8 @@ def exact_probe(series, r_hat, samples):
     with mp.workprec(series.prec):
         radius = mpf("0.98") * mpf(r_hat)
         re, im = linearize._scaled_fixed(series, radius, frac)
-        xr, xi = _circle_values(re, im, _unit_points(samples, frac), frac)
+        table = linearize._plan(samples, frac, series.prec)[0]
+        xr, xi = oracle_dft(*linearize._fold(re, im, samples), table, frac)
         value = mpf((math.isqrt(min(x * x + y * y for x, y in zip(xr, xi))), -frac))
         top = abs(series.coeffs[-1]) * radius**series.order
         tail = top * mpf("0.98") / (1 - mpf("0.98"))
@@ -777,20 +858,57 @@ def test_screened_probe_scales_ints_beyond_the_float_range():
 @pytest.mark.parametrize("samples", [8, 12, 97, 200, 512])
 def test_float_transform_within_its_bound(samples):
     # the screen's error against an exact transform stays under the bound
-    # _float_plan proves, on random inputs up to the scale the probe uses
+    # _float_bound proves, on random inputs up to the scale the probe uses
     rng = random.Random(samples)
     frac, prec = 288, 256
-    stages, rel = linearize._float_plan(samples, frac, prec)
-    table = linearize._unit_table(samples, frac, prec)
+    stages = linearize._plan(samples, frac, prec)[1]
+    rel = linearize._float_bound(samples, prec)
     for order in (samples // 2, samples, 3 * samples):
         re = [rng.randint(-(1 << frac), 1 << frac) for _ in range(order)]
         im = [rng.randint(-(1 << frac), 1 << frac) for _ in range(order)]
         ar, ai = linearize._fold(re, im, samples)
-        xr, xi = _circle_values(re, im, table, frac)
+        xr, xi = _circle_values(re, im, samples, frac, prec)
         top = max(map(abs, ar + ai)).bit_length()
         screen = [complex(a / 2**top, b / 2**top) for a, b in zip(ar, ai)]
-        got = linearize._float_transform(screen, stages)
+        got = linearize._float_dft(screen, stages)
         mass = sum(map(abs, ar + ai)) / 2**top
         want = [complex(x / 2**top, y / 2**top) for x, y in zip(xr, xi)]
         worst = max(map(abs, map(sub, got, want)))
         assert worst <= rel * mass, (samples, order, worst / mass, rel)
+
+
+DFT_SIZES = [1, 2, 3, 4, 8, 12, 24, 64, 97, 200, 512, 1024]
+
+
+def _dft_inputs(samples, frac, prec, seed):
+    """Random ints of frac bits, and the folded radius-scaled golden series
+    with N below and at least S."""
+    rng = random.Random(seed)
+    yield (
+        [rng.randint(-(1 << frac), 1 << frac) for _ in range(samples)],
+        [rng.randint(-(1 << frac), 1 << frac) for _ in range(samples)],
+    )
+    for order in sorted({max(2, samples // 2), samples + 3}):
+        series = linearization_coeffs(GOLDEN, order, prec)
+        with mp.workprec(prec):
+            re, im = linearize._scaled_fixed(series, mpf("0.3"), frac)
+        yield linearize._fold(re, im, samples)
+
+
+@pytest.mark.parametrize("samples", DFT_SIZES)
+def test_plan_dft_matches_recursive_oracle(samples):
+    # the stages make the recursion's products and truncations: == on ints
+    frac, prec = 160, 128
+    table, stages = linearize._plan(samples, frac, prec)
+    for re, im in _dft_inputs(samples, frac, prec, samples):
+        assert linearize._dft(re, im, stages, frac) == oracle_dft(re, im, table, frac)
+
+
+@pytest.mark.parametrize("samples", [8, 12, 24, 97, 200])
+def test_dft_at_matches_dft_at_every_output(samples):
+    frac, prec = 160, 128
+    table, stages = linearize._plan(samples, frac, prec)
+    for re, im in _dft_inputs(samples, frac, prec, samples + 1):
+        xr, xi = linearize._dft(re, im, stages, frac)
+        for k in range(samples):
+            assert linearize._dft_at(re, im, table, frac, k) == (xr[k], xi[k])
