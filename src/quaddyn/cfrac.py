@@ -281,6 +281,14 @@ def perturbed_cf(prefix: Sequence[int], amplitude) -> CFExpansion:
     return CFExpansion(prefix + (inserted,), tail=(1,))
 
 
+def _quotient_list(body: str, error: str) -> tuple[int, ...]:
+    """The ints of a comma list, blanks skipped, or InvariantError(error)."""
+    try:
+        return tuple(int(s) for s in body.split(",") if s.strip())
+    except ValueError as exc:
+        raise InvariantError(error) from exc
+
+
 def parse_cf_text(text: str) -> CFExpansion:
     """Parse "1,1,1:rep=1" style expansion literals (optional "cf:" prefix)."""
     body = text.strip()
@@ -292,17 +300,11 @@ def parse_cf_text(text: str) -> CFExpansion:
         rep = rep.strip()
         if not rep.startswith("rep="):
             raise InvariantError(f"expected rep=..., got {rep!r}")
-        try:
-            tail = tuple(int(s) for s in rep[4:].split(",") if s.strip())
-        except ValueError as exc:
-            raise InvariantError(f"bad tail in {text!r}") from exc
+        tail = _quotient_list(rep[4:], f"bad tail in {text!r}")
         if not tail:
             raise InvariantError(f"empty tail in {text!r}")
         body = head
-    try:
-        quotients = tuple(int(s) for s in body.split(",") if s.strip())
-    except ValueError as exc:
-        raise InvariantError(f"bad quotient list in {text!r}") from exc
+    quotients = _quotient_list(body, f"bad quotient list in {text!r}")
     if not quotients and tail is None:
         raise InvariantError(f"empty expansion literal: {text!r}")
     return CFExpansion(quotients, tail)

@@ -242,14 +242,15 @@ def _run_brjuno(args) -> dict:
 
 
 def _run_cf(args) -> dict:
-    from .cfrac import convergents
+    from .cfrac import convergent_pairs
 
     cf = _cf_from_args(args)
     count = args.count
     if cf.is_rational:
         count = min(count, len(cf.quotients))
     lo, hi = cf.bracket(Fraction(1, 2**args.prec))
-    approx = [str(v) for v in convergents(cf, count)]
+    # str(Fraction(p, q)) without its gcd: convergents are in lowest terms
+    approx = [f"{p}/{q}" if q != 1 else str(p) for p, q in convergent_pairs(cf, count)]
     doc = {
         "quotients": list(cf.prefix(count)),
         "periodic": not cf.is_rational,
@@ -265,12 +266,14 @@ def _run_cf(args) -> dict:
 
 def _run_radius(args) -> dict:
     from .linearize import (
+        _check_radius_order,
         conformal_radius_estimate,
         inner_radius_probe,
         linearization_coeffs,
     )
 
     cf = _cf_from_args(args)
+    _check_radius_order(args.order)
     series = linearization_coeffs(cf, args.order, prec=args.prec)
     est = conformal_radius_estimate(series)
     probe = inner_radius_probe(series, est.r_hat)
@@ -291,9 +294,10 @@ def _run_radius(args) -> dict:
 
 
 def _run_ratio_experiment(args) -> dict:
+    from .cfrac import _quotient_list
     from .linearize import radius_ratio_experiment
 
-    prefix = tuple(int(s) for s in args.prefix.split(",") if s.strip())
+    prefix = _quotient_list(args.prefix, f"bad quotient list in {args.prefix!r}")
     ns = list(_parse_range(args.n))
     exp = radius_ratio_experiment(
         prefix, Fraction(args.amplitude), ns, order=args.order, prec=args.prec

@@ -7,7 +7,8 @@ of the set must be near, beyond two pixels must be far) are honored up to a
 configurable safety factor because the distance estimate carries an unproven
 constant.  Ray tracing walks external rays down a geometric potential ladder
 with damped Newton corrections.  The crosscut check exercises an explicit
-slit-plane model whose Riemann map is known in closed form.
+slit-plane model whose Riemann map is known in closed form, on float arrays
+that give every sample bit for bit as CPython's complex arithmetic would.
 
 numpy is imported inside the functions that build arrays, not at module
 load, so `ray` and the exact commands start without it.
@@ -18,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -42,7 +42,6 @@ __all__ = [
     "trace_ray",
     "lavrentiev_check",
     "lavrentiev_monte_carlo",
-    "slit_to_disk",
 ]
 
 FAR = 0
@@ -231,32 +230,29 @@ def _orbit(c: complex, z: complex, m: int) -> tuple[complex, complex]:
     """f^m(z) and its derivative in z."""
     value, deriv = z, complex(1.0)
     for _ in range(m):
-        deriv = 2 * value * deriv
+        deriv = 2.0 * value * deriv
         value = value * value + c
     return value, deriv
 
 
-def _newton_forward(c: complex, seed: complex, m: int, target: complex) -> complex:
-    """Solve f^m(z) = target by damped Newton from the seed.
+def _newton_forward(c: complex, seed: complex, m: int, target: complex, orbit: tuple):
+    """Solve f^m(z) = target by damped Newton from the seed, given its orbit
+    (f^m, (f^m)'); return z and its orbit, None after a damped last step.
 
     The full step (scale 1) is tried first and accepted almost always; its
-    trial orbit carries the derivative too, and when it is accepted the
-    next iteration starts from that value and derivative.  They are the
-    floats it would compute: the next z is the trial point, made by the
-    same expression z - scale * step, and _orbit computes both.  Shorter
-    trials need no derivative, and a NaN orbit fails acceptance as before.
-
-    A trial point equal to z ends the solve as failed: its orbit is value
-    itself, which the strict test refuses, and as rounding is monotone every
-    shorter trial equals z too.
+    trial orbit, derivative included, is _orbit's for the next z, the same
+    expression z - scale * step.  Shorter trials need no derivative, and a
+    NaN orbit fails acceptance.  A trial point equal to z ends the solve as
+    failed: its orbit is value itself, which the strict test refuses, and
+    as rounding is monotone every shorter trial equals z too.
     """
-    z = seed
-    with suppress(OverflowError):  # an orbit past what abs() can return
-        value, deriv = _orbit(c, z, m)
+    z, (value, deriv) = seed, orbit
+    try:
+        tol = 1e-13 * (1 + abs(target))
         for _ in range(60):
             err = value - target
-            if abs(err) < 1e-13 * (1 + abs(target)):
-                return z
+            if abs(err) < tol:
+                return z, (value, deriv)
             if deriv == 0:
                 break
             step = err / deriv
@@ -279,8 +275,10 @@ def _newton_forward(c: complex, seed: complex, m: int, target: complex) -> compl
                     break
             z = trial
             if abs(scale * step) < 1e-14 * (1 + abs(z)):
-                return z
+                return z, ((value2, deriv2) if scale == 1.0 else None)
             value, deriv = (value2, deriv2) if scale == 1.0 else _orbit(c, z, m)
+    except OverflowError:  # an orbit past what abs() can return
+        pass
     raise PrecisionError("ray correction did not converge")
 
 
@@ -305,6 +303,8 @@ def trace_ray(
     bounded.  A failed correction bisects the ladder step (in log potential)
     before giving up.
     Meaningful for connected Julia sets; disconnectedness is not detected.
+    Each solve starts from the point accepted before it, whose orbit that
+    solve computed at the same m or at m - 1; one slot carries it on.
     """
     alpha = angle.fraction if isinstance(angle, Angle) else angle
     t0 = math.log(1e4)
@@ -315,6 +315,7 @@ def trace_ray(
         )
 
     doubled: dict[int, float] = {}
+    carried = [None, -1, 0j, 0j]  # z, m, f^m(z), (f^m)'(z) of the last solve
 
     def point_at(t: float, seed: complex | None) -> complex:
         m = max(0, math.ceil(math.log2(t0 / t) - 1e-12))
@@ -323,7 +324,15 @@ def trace_ray(
         target = _ray_target(c, (2.0**m) * t, doubled[m])
         if seed is None:
             return target
-        return _newton_forward(c, seed, m, target)
+        z, m0, value, deriv = carried
+        if z is seed and m0 == m - 1:  # the step _orbit would take next
+            value, deriv = value * value + c, 2.0 * value * deriv
+        elif z is not seed or m0 != m:
+            value, deriv = _orbit(c, seed, m)
+        z, orbit = _newton_forward(c, seed, m, target, (value, deriv))
+        if orbit is not None:
+            carried[:] = z, m, *orbit
+        return z
 
     def advance(z_from: complex, t_from: float, t_to: float, depth: int) -> complex:
         try:
@@ -417,22 +426,6 @@ def _refine_periodic_landing(
     return None
 
 
-def slit_to_disk(v: complex) -> complex:
-    """Inverse Riemann map of the doubly slit plane, vanishing at 0."""
-    if v == 0:
-        return 0j
-    return (1 - cmath.sqrt(1 - 4 * v * v)) / (2 * v)
-
-
-def _slit_edge_to_disk(x: float, upper: bool) -> complex:
-    """Boundary value of the disk map on the slit edge approached from
-    above (upper) or below.  The branch flips across zero because the
-    principal square root is approached from opposite imaginary sides."""
-    root = math.sqrt(4 * x * x - 1)
-    sign = (1.0 if upper else -1.0) * (1.0 if x > 0 else -1.0)
-    return (1 + sign * 1j * root) / (2 * x)
-
-
 @dataclass(frozen=True)
 class LavrentievResult:
     """One crosscut-diameter experiment on the slit-plane model."""
@@ -446,73 +439,77 @@ class LavrentievResult:
     margin: float
 
 
-# exp(i pi k / 200) for 0 < k < 200: the open arc of _crosscut_image
-_ARC_FACTORS = tuple(cmath.exp(1j * (math.pi * k / 200)) for k in range(1, 200))
+# crosscuts whose images _results computes at once
+_CHUNK_ROWS = 32
 
 
-def _crosscut_image(x1: float, x2: float) -> np.ndarray:
-    """Disk images of the semicircle on [x1, x2] and of the slit edge under
-    it, in 200 equal steps each."""
+def _cmul(ar, ai, br, bi):
+    """CPython's complex product, zero terms kept."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(ar, ai, br, bi):
+    """CPython's complex quotient for |br| >= |bi|, Smith's branch on br."""
+    ratio = bi / br
+    return (ar + ai * ratio) / (denom := br + bi * ratio), (ai - ar * ratio) / denom
+
+
+def _crosscut_images(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """A row per crosscut: g(v) = (1 - sqrt(1 - 4 v^2)) / (2 v) on the arc,
+    then its upper-edge limit at x = x1 + (x2 - x1) k / 200, k = 0..200."""
     import numpy as np
 
-    center = (x1 + x2) / 2
-    radius = (x2 - x1) / 2
-    samples = 200
-    # Open arc only: at psi = 0 or pi the point is exactly real, where the
-    # principal square root jumps to the lower edge.  The endpoint values
-    # come from the explicit upper-edge formula below instead.
-    image = [slit_to_disk(center + radius * arc) for arc in _ARC_FACTORS]
-    for k in range(samples + 1):
-        x = x1 + (x2 - x1) * k / samples
-        image.append(_slit_edge_to_disk(x, upper=True))
-    return np.array(image)
+    # Open arc only, 0 < k < 200: at psi = 0 or pi the point is exactly
+    # real, where the principal square root jumps to the lower edge; the
+    # edge row gives the endpoint values.
+    arc = np.array([cmath.exp(1j * (math.pi * k / 200)) for k in range(1, 200)])
+    center, radius = ((x1 + x2) / 2)[:, None], ((x2 - x1) / 2)[:, None]
+    zr, zi = _cmul(radius, 0.0, arc.real, arc.imag)
+    vr, vi = center + zr, 0.0 + zi
+    wr, wi = _cmul(*_cmul(4.0, 0.0, vr, vi), vr, vi)
+    ur, ui = 1.0 - wr, 0.0 - wi  # cmath.sqrt(u) is (s, d) or (d, s), signed as ui
+    ax, right = abs(ur) / 8.0, ur >= 0.0
+    s = 2.0 * np.sqrt(ax + np.hypot(ax, abs(ui) / 8.0))
+    d = abs(ui) / (2.0 * s)
+    sr, si = np.where(right, s, d), np.copysign(np.where(right, d, s), ui)
+    arc_re, arc_im = _cdiv(1.0 - sr, 0.0 - si, *_cmul(2.0, 0.0, vr, vi))
+    # (1 + sign i sqrt(4 x^2 - 1)) / (2 x), where an admissible crosscut's
+    # last x is at most |x2|, so 4 x^2 - 1 >= 0
+    x = x1[:, None] + (x2 - x1)[:, None] * np.arange(201.0) / 200
+    sign = _cmul(np.where(x > 0, 1.0, -1.0), 0.0, 0.0, 1.0)
+    nr, ni = _cmul(*sign, np.sqrt(4.0 * x * x - 1.0), 0.0)
+    edge_re, edge_im = _cdiv(1.0 + nr, 0.0 + ni, 2.0 * x, 0.0)
+    re, im = np.hstack([arc_re, edge_re]), np.hstack([arc_im, edge_im])
+    return np.stack([re, im], axis=-1).view(complex)[..., 0]
 
 
-def _diameter(pts: np.ndarray) -> float:
-    """Largest |p - q|, the float of the full pairwise maximum, taken over
-    the points the triangle-inequality test of lavrentiev_check keeps; the
-    upper triangle suffices, as |p - q| and |q - p| agree bit for bit."""
+def _diameters(pts: np.ndarray) -> np.ndarray:
+    """The image diameter of each row (see lavrentiev_check), its kept samples
+    first; a skipped one within the widest row's width changes nothing."""
     import numpy as np
 
     with np.errstate(invalid="ignore"):
-        r = np.abs(pts - pts.mean())
-        d0 = np.abs(pts - pts[r.argmax()]).max()
-        pts = pts[~((r + r.max()) * (1 + 1e-9) < d0)]
-    return max(
-        float(np.abs(pts[None, i:] - pts[i : i + 64, None]).max())
-        for i in range(0, pts.size, 64)
-    )
+        r = np.abs(pts - pts.mean(axis=1, keepdims=True))
+        far = np.take_along_axis(pts, r.argmax(axis=1)[:, None], axis=1)
+        d0 = np.abs(pts - far).max(axis=1, keepdims=True)
+        keep = ~((r + r.max(axis=1, keepdims=True)) * (1 + 1e-9) < d0)
+        order = np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(axis=1).max()]
+        pts = np.take_along_axis(pts, order, axis=1)
+        diam = np.zeros(len(pts))
+        for i in range(0, pts.shape[1], 64):
+            block = np.abs(pts[:, None, i:] - pts[:, i : i + 64, None])
+            diam = np.maximum(diam, block.max(axis=(1, 2)))
+    return diam
 
 
-def lavrentiev_check(
-    endpoints: tuple[float, float], distance: float
-) -> LavrentievResult:
-    """Check the crosscut-diameter inequality on one semicircular crosscut.
-
-    The crosscut is the upper semicircle joining the two real endpoints,
-    which must sit on one slit of the model domain; the region it cuts off
-    is the open upper half-disk.  distance is the caller's lower bound M for
-    the gap between the crosscut and the base point 0; with eps^2 the
-    crosscut diameter, the precondition eps^2 < M/4 must hold and the image
-    diameter is compared against 30*eps/sqrt(M).  The image is sampled in
-    200 equal steps along the arc and along the slit edge.
-
-    The image diameter is the float of the full pairwise maximum, taken
-    over fewer samples.  With r_i = |p_i - g| for the centroid g, r_max the
-    largest r_i and d0 the largest distance from the sample of r_max, a
-    sample with (r_i + r_max)(1 + 1e-9) < d0 is skipped: every pair it is
-    in has length at most r_i + r_j <= r_i + r_max, below d0 by the 1e-9
-    margin, and every computed distance is within a few ulps of the true
-    one, so the pair computes below d0.  Both samples of the d0 pair are
-    kept (their lengths to g sum to at least d0), so the
-    maximum over the kept samples is the full one.  A NaN fails every
-    comparison, so it keeps every sample and a NaN diameter.
-    """
+def _crosscut(endpoints: tuple[float, float], distance: float) -> tuple:
+    """(x1, x2, center, radius, diam, bound) of an admissible crosscut."""
     x1, x2 = sorted(endpoints)
     if not (x1 * x2 > 0 and 0.5 <= min(abs(x1), abs(x2)) and math.isfinite(x2 - x1)):
         raise InvariantError("endpoints must be finite, on a single slit, |x| >= 1/2")
-    center = (x1 + x2) / 2
-    radius = (x2 - x1) / 2
+    if max(abs(x1), abs(x2)) > 2.0**510:
+        raise InvariantError("endpoints must have |x| <= 2^510, where 4 x^2 is finite")
+    center, radius = (x1 + x2) / 2, (x2 - x1) / 2
     if radius <= 0:
         raise InvariantError("degenerate crosscut")
     true_gap = abs(center) - radius
@@ -524,18 +521,57 @@ def lavrentiev_check(
     eps = math.sqrt(diam)
     if eps * eps >= distance / 4:
         raise InvariantError("precondition requires diam(crosscut) < distance/4")
+    return x1, x2, center, radius, diam, 30 * eps / math.sqrt(distance)
 
-    image_diam = _diameter(_crosscut_image(x1, x2))
-    bound = 30 * eps / math.sqrt(distance)
-    return LavrentievResult(
-        center=center,
-        radius=radius,
-        crosscut_diam=diam,
-        image_diam=image_diam,
-        bound=bound,
-        holds=image_diam <= bound,
-        margin=bound - image_diam,
-    )
+
+def _results(crosscuts: list[tuple]) -> list[LavrentievResult]:
+    """The result of each _crosscut tuple, _CHUNK_ROWS images at a time."""
+    import numpy as np
+
+    image_diams = []
+    for i in range(0, len(crosscuts), _CHUNK_ROWS):
+        x1, x2 = np.array([cut[:2] for cut in crosscuts[i : i + _CHUNK_ROWS]]).T
+        image_diams += _diameters(_crosscut_images(x1, x2)).tolist()
+    return [
+        LavrentievResult(center, radius, diam, d, bound, d <= bound, bound - d)
+        for (_, _, center, radius, diam, bound), d in zip(crosscuts, image_diams)
+    ]
+
+
+def lavrentiev_check(
+    endpoints: tuple[float, float], distance: float
+) -> LavrentievResult:
+    """Check the crosscut-diameter inequality on one semicircular crosscut.
+
+    The crosscut is the upper semicircle joining the two real endpoints,
+    which must sit on one slit of the model domain with |x| <= 2^510; the
+    region it cuts off is the open upper half-disk.  distance is the
+    caller's lower bound M for the gap between the crosscut and the base
+    point 0; with eps^2 the crosscut diameter, the precondition eps^2 < M/4
+    must hold and the image diameter is compared against 30*eps/sqrt(M).
+    The image is sampled in 200 equal steps along the arc and along the
+    slit edge, on float arrays with one row per crosscut.
+
+    Each sample is the float of CPython's complex arithmetic, written out:
+    a real operand becomes (x, 0.0); a product is (ar br - ai bi, ar bi +
+    ai br), zero terms kept; a quotient is Smith's on the divisor's real
+    part, the larger (2x, or 2v with Re v > 8 radius >= Im v); cmath.sqrt
+    is 2 sqrt(|x|/8 + hypot(|x|/8, |y|/8)), branched on the sign of x.
+    numpy's sqrt and hypot are the correctly rounded and libm calls cmath
+    makes, no ufunc fuses two operations, and no special case of cmath
+    arises (|x| <= 2^510 keeps all finite, Im v >= radius sin(pi/200)).
+
+    The image diameter is the float of the full pairwise maximum, taken
+    over fewer samples.  With r_i = |p_i - g| for the centroid g, r_max the
+    largest r_i and d0 the largest distance from the sample of r_max, a
+    sample with (r_i + r_max)(1 + 1e-9) < d0 is skipped: its pairs are at
+    most r_i + r_max long, below d0 by the 1e-9 margin, far beyond the few
+    ulps of a computed distance.  Both samples of the d0 pair are kept, so
+    the maximum over the kept samples is the full one; as |p - q| and
+    |q - p| agree bit for bit, half the pairs suffice.  A NaN fails every
+    comparison, so it keeps every sample and a NaN diameter.
+    """
+    return _results([_crosscut(endpoints, distance)])[0]
 
 
 def lavrentiev_monte_carlo(
@@ -545,13 +581,13 @@ def lavrentiev_monte_carlo(
 
     Crosscut centers and diameters are drawn log-uniformly, mirrored onto
     both slits, and rejected until the precondition and slit constraints
-    hold; the draw is deterministic for a given seed.
-    """
+    hold; the draw is deterministic for a given seed.  Each result is
+    lavrentiev_check's on its draw."""
     if count < 1:
         raise InvariantError("need at least one crosscut")
     rng = random.Random(seed)
-    results: list[LavrentievResult] = []
-    while len(results) < count:
+    crosscuts: list[tuple] = []
+    while len(crosscuts) < count:
         s = 0.5 + 10 ** rng.uniform(-1.5, 0.5)
         eps = 10 ** rng.uniform(-3.0, -0.7)
         radius = eps * eps / 2
@@ -564,5 +600,5 @@ def lavrentiev_monte_carlo(
             pair = (-(s + radius), -(s - radius))
         else:
             pair = (s - radius, s + radius)
-        results.append(lavrentiev_check(pair, distance))
-    return results
+        crosscuts.append(_crosscut(pair, distance))
+    return _results(crosscuts)

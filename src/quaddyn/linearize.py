@@ -80,6 +80,8 @@ class LinearizationSeries:
 _GUARD_BITS = 32
 _SLACK_BITS = 16  # every normalised |c_n| keeps at least frac - _SLACK_BITS bits
 
+MIN_RADIUS_ORDER = 32  # the least order conformal_radius_estimate accepts
+
 
 def _round_shift(x: int, k: int) -> int:
     """round(x * 2^-k), to nearest with ties to even; exact for k <= 0."""
@@ -548,6 +550,12 @@ def _root_test(coeffs: Sequence[mpc], lo: int, hi: int) -> mpf:
     return 1 / worst
 
 
+def _check_radius_order(order: int) -> None:
+    """Refuse an order below MIN_RADIUS_ORDER, before any series is built."""
+    if order < MIN_RADIUS_ORDER:
+        raise InvariantError(f"radius estimation needs order >= {MIN_RADIUS_ORDER}")
+
+
 def conformal_radius_estimate(series: LinearizationSeries) -> RadiusEstimate:
     """Estimate the conformal radius as 1 over the tail max of |b_n|^(1/n).
 
@@ -555,8 +563,7 @@ def conformal_radius_estimate(series: LinearizationSeries) -> RadiusEstimate:
     the oscillation caused by near-resonant indices.
     """
     n = series.order
-    if n < 32:
-        raise InvariantError("radius estimation needs order >= 32")
+    _check_radius_order(n)
     with mp.workprec(series.prec):
         full = _root_test(series.coeffs, n // 2, n)
         half = _root_test(series.coeffs, n // 4, n // 2)
@@ -694,6 +701,7 @@ def radius_ratio_experiment(
     if not ns:
         raise InvariantError("empty n range")
     base = CFExpansion(quotients=tuple(prefix), tail=(1,))
+    _check_radius_order(order)
     base_series = linearization_coeffs(base, order, prec)
     base_est = conformal_radius_estimate(base_series)
     rows: list[RatioRow] = []

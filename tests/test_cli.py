@@ -412,6 +412,7 @@ def _refuse_computation(monkeypatch):
 
     monkeypatch.setattr(cantor, "_cover_arcs", refuse)
     monkeypatch.setattr(cfrac, "convergents", refuse)
+    monkeypatch.setattr(cfrac, "convergent_pairs", refuse)
     monkeypatch.setattr(cfrac, "brjuno_partial_sums", refuse)
     monkeypatch.setattr(cfrac.CFExpansion, "bracket", refuse)
     monkeypatch.setattr(angles, "double", refuse)
@@ -432,6 +433,57 @@ def test_size_ceilings_exit_4_before_computing(tmp_path, capsys, monkeypatch, ar
     assert (code, out) == (4, "")
     assert json.loads(err) == {"error": "InvariantError", "message": message}
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["radius", "--cf", "1:rep=1", "--order", "31"],
+        ["radius", "--cf", "1,2:rep=1", "--order", "2"],
+        ["ratio-experiment", "--prefix", "1,1", "--n", "3..4", "--order", "8"],
+    ],
+)
+def test_radius_order_floor_exits_4_before_any_series(tmp_path, capsys, monkeypatch, argv):
+    from quaddyn import linearize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("series built below the order floor")
+
+    monkeypatch.setattr(linearize, "linearization_coeffs", refuse)
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, argv + ["--out", str(out_dir), "--json"])
+    assert (code, out) == (4, "")
+    message = f"radius estimation needs order >= {linearize.MIN_RADIUS_ORDER}"
+    assert json.loads(err) == {"error": "InvariantError", "message": message}
+    assert not out_dir.exists()
+
+
+def test_ratio_experiment_prefix_reads_as_a_quotient_list(tmp_path, capsys):
+    # the same message and exit code as a bad --cf quotient list
+    for argv, text in (
+        (["ratio-experiment", "--prefix", "x", "--n", "3"], "x"),
+        (["ratio-experiment", "--prefix", "1,2.5,1", "--n", "3"], "1,2.5,1"),
+        (["radius", "--cf", "bogus"], "bogus"),
+    ):
+        code, out, err = _run(capsys, argv + ["--out", str(tmp_path / "out")])
+        assert (code, out) == (4, "")
+        message = f"bad quotient list in {text!r}"
+        assert json.loads(err) == {"error": "InvariantError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cf_text", ["1:rep=1", "3,1,4:rep=2,7", "1,1,1,2"])
+def test_cf_convergents_print_as_fractions(tmp_path, capsys, cf_text):
+    # formatted from the coprime pairs, in Fraction.__str__'s form
+    from quaddyn.cfrac import convergents, parse_cf_text
+
+    code, out, _ = _run(capsys, ["cf", "--cf", cf_text, "--count", "300", "--out",
+                                 str(tmp_path), "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    want = [str(v) for v in convergents(parse_cf_text(cf_text), len(doc["convergents"]))]
+    assert doc["convergents"] == want
+    assert doc["convergents_from_second"] == want[1:]
 
 
 @pytest.mark.parametrize(

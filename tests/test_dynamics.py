@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,14 +16,14 @@ from quaddyn.dynamics import (
     FAR,
     MAX_JULIA_RES,
     NEAR,
-    _crosscut_image,
-    _diameter,
+    _CHUNK_ROWS,
+    _crosscut_images,
+    _diameters,
     _doubled_angle,
     hausdorff_distance,
     lavrentiev_check,
     lavrentiev_monte_carlo,
     render_julia,
-    slit_to_disk,
     trace_ray,
 )
 from quaddyn.errors import InvariantError, PrecisionError
@@ -256,6 +257,66 @@ def _oracle_newton_forward(c, seed, m, target):
     raise PrecisionError("ray correction did not converge")
 
 
+def _former_newton_forward(c, seed, m, target):
+    """The solve before the orbit was carried between solves, kept as the
+    oracle of the point it returns: it computes the seed's orbit itself."""
+
+    def orbit(z):
+        value, deriv = z, complex(1.0)
+        for _ in range(m):
+            deriv = 2 * value * deriv
+            value = value * value + c
+        return value, deriv
+
+    z = seed
+    try:
+        value, deriv = orbit(z)
+        for _ in range(60):
+            err = value - target
+            if abs(err) < 1e-13 * (1 + abs(target)):
+                return z
+            if deriv == 0:
+                break
+            step = err / deriv
+            scale = 1.0
+            base = abs(err)
+            trial = z - scale * step
+            if trial == z:
+                break
+            value2, deriv2 = orbit(trial)
+            if not abs(value2 - target) < base:
+                scale /= 2
+                while scale > 2.0**-8 and (trial := z - scale * step) != z:
+                    value2 = trial
+                    for _ in range(m):
+                        value2 = value2 * value2 + c
+                    if abs(value2 - target) < base:
+                        break
+                    scale /= 2
+                else:
+                    break
+            z = trial
+            if abs(scale * step) < 1e-14 * (1 + abs(z)):
+                return z
+            value, deriv = (value2, deriv2) if scale == 1.0 else orbit(z)
+    except OverflowError:
+        pass
+    raise PrecisionError("ray correction did not converge")
+
+
+def _carried_newton_forward(c, seed, m, target):
+    """_newton_forward from the seed's orbit; the orbit it hands back must
+    be the one the former solve computes for its point, with the int 2."""
+    z, orbit = dynamics._newton_forward(c, seed, m, target, dynamics._orbit(c, seed, m))
+    if orbit is not None:
+        value, deriv = z, complex(1.0)
+        for _ in range(m):
+            deriv = 2 * value * deriv
+            value = value * value + c
+        assert repr(orbit) == repr((value, deriv)), (c, seed, m, target)
+    return z
+
+
 def _newton_outcome(solve, *args):
     try:
         return repr(solve(*args))
@@ -267,10 +328,10 @@ def test_newton_forward_matches_oracle_from_far_seeds():
     # seeds far from the solution: damped steps, failed line searches, and
     # orbits that overflow to inf or NaN or past what abs() can return; the
     # oracle lets that last OverflowError out, the solver reports it as a
-    # failed correction
+    # failed correction, as the former solve did
     rng = random.Random(15)
     failed = repr(PrecisionError("ray correction did not converge"))
-    outcomes = set()
+    outcomes, carried = set(), 0
     for _ in range(3000):
         c = complex(rng.uniform(-2, 0.5), rng.uniform(-1.2, 1.2))
         m = rng.randint(0, 12)
@@ -281,8 +342,11 @@ def test_newton_forward_matches_oracle_from_far_seeds():
         outcomes.add(want.split("(")[0])
         if want.startswith("OverflowError"):
             want = failed
-        assert _newton_outcome(dynamics._newton_forward, *args) == want, args
+        assert _newton_outcome(_former_newton_forward, *args) == want, args
+        assert _newton_outcome(_carried_newton_forward, *args) == want, args
+        carried += not want.startswith("PrecisionError")
     assert outcomes >= {"PrecisionError", "OverflowError"}
+    assert carried > 100
 
 
 def _oracle_trace_ray(c, alpha, t_min=1e-6):
@@ -372,7 +436,39 @@ def test_trace_ray_matches_oracle_to_the_default_potential():
         _assert_ray_matches_oracle(0j, angle)
 
 
-@pytest.mark.parametrize("angle", [Fraction(1, 4), Fraction(1, 8), Fraction(3, 8)], ids=str)
+def _cli_draw_rays(rng):
+    """The rays of one round of the benchmark's cli workload: c = -2 with a
+    non-dyadic p/q, q <= 31; c = 0 or -1 with p/q, q <= 15; and a cardioid
+    c of a bounded-type angle written with six decimals."""
+    def coprime(lo, hi, keep=lambda q: True):
+        q = rng.choice([q for q in range(lo, hi + 1) if keep(q)])
+        return Fraction(rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1]), q)
+
+    theta = (math.sqrt(5) - 1) / 2 / rng.randint(1, 3) + rng.randint(0, 3) / 7
+    c = cardioid_parameter(theta % 1)
+    return [
+        (-2 + 0j, coprime(3, 31, lambda q: q & (q - 1))),
+        (rng.choice([0j, -1 + 0j]), coprime(3, 15)),
+        (complex(float(f"{c.real:.6f}"), float(f"{c.imag:.6f}")), coprime(3, 15)),
+    ]
+
+
+def test_trace_ray_matches_oracle_on_the_cli_draw():
+    # the rays every perfbench cli round traces, float angles, and more
+    # than one t_min; each solve reuses the orbit the one before computed
+    rng = random.Random(28)
+    for _ in range(10):
+        for c, angle in _cli_draw_rays(rng):
+            _assert_ray_matches_oracle(c, angle)
+    for c in (0j, -1 + 0j, -0.12 + 0.75j, -1.7 + 0.01j):
+        for angle in (rng.random(), 1 / 3, 0.1):
+            for t_min in (0.5, 1e-3, 1e-8):
+                _assert_ray_matches_oracle(c, angle, t_min)
+
+
+@pytest.mark.parametrize(
+    "angle", [Fraction(1, 4), Fraction(1, 8), Fraction(3, 8), Fraction(5, 16)], ids=str
+)
 def test_trace_ray_stalls_like_the_oracle(angle):
     # dyadic rays at c = -2 land on the critical orbit, where precision runs out
     with pytest.raises(PrecisionError) as want:
@@ -485,22 +581,88 @@ def disk_to_slit(u: complex) -> complex:
     return u / (1 + u * u)
 
 
+def slit_to_disk(v: complex) -> complex:
+    """Inverse Riemann map of the doubly slit plane, vanishing at 0: the
+    former per-point formula of the arc samples, kept as the oracle."""
+    if v == 0:
+        return 0j
+    return (1 - cmath.sqrt(1 - 4 * v * v)) / (2 * v)
+
+
 def test_slit_disk_maps_are_inverse():
     rng = random.Random(3)
     for _ in range(60):
         u = cmath.rect(rng.uniform(0.05, 0.95), rng.uniform(0, 2 * math.pi))
         assert abs(slit_to_disk(disk_to_slit(u)) - u) < 1e-12
     assert slit_to_disk(0) == 0
+    # the batched samples lie on the unit disk's image of the crosscut: the
+    # arc at center + radius e^(i pi k / 200), the edge at its x
+    pairs = [(1.0, 1.2), (-0.9, -0.6), (0.5, 0.55), (3.0, 3.5)]
+    for (x1, x2), image in zip(pairs, _images(pairs)):
+        center, radius = (x1 + x2) / 2, (x2 - x1) / 2
+        for k, u in enumerate(image):
+            if k < 199:
+                v = center + radius * cmath.exp(1j * math.pi * (k + 1) / 200)
+            else:
+                v = x1 + (x2 - x1) * (k - 199) / 200
+            assert abs(disk_to_slit(u) - v) < 1e-9 and abs(u) <= 1 + 1e-12, (x1, x2, k)
+
+
+def _oracle_slit_edge_to_disk(x, upper):
+    """The former per-point edge formula: the boundary value of the disk
+    map on the slit edge approached from above (upper) or below.  The
+    branch flips across zero because the principal square root is
+    approached from opposite imaginary sides."""
+    root = math.sqrt(4 * x * x - 1)
+    sign = (1.0 if upper else -1.0) * (1.0 if x > 0 else -1.0)
+    return (1 + sign * 1j * root) / (2 * x)
+
+
+def _images(pairs):
+    return _crosscut_images(*(np.array(col, dtype=float) for col in zip(*pairs)))
+
+
+def _cpython_ops(a, b):
+    """The products and quotients the image samples make, by CPython on
+    complex numbers, with a real operand promoted to (x, 0.0)."""
+    return a * b, a / b, a * b.real, a / b.real
+
+
+def test_complex_primitives_match_cpython():
+    # zero, negative, tiny and huge parts, whose products overflow
+    rng = random.Random(28)
+    parts = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e-300, 1e300]
+    a = [complex(rng.choice(parts), rng.choice(parts)) for _ in range(400)]
+    b = [complex(rng.choice(parts), rng.choice(parts)) for _ in range(400)]
+    a += [complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10 ** rng.uniform(-9, 9) for _ in range(2000)]
+    b += [complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10 ** rng.uniform(-9, 9) for _ in range(2000)]
+    # the quotients' domain in the image samples: a divisor whose real part
+    # is the larger and not 0
+    pairs = [(x, y) for x, y in zip(a, b) if abs(y.real) >= abs(y.imag) and y.real]
+    a, b = zip(*pairs)
+    ar, ai = np.array([x.real for x in a]), np.array([x.imag for x in a])
+    br, bi = np.array([y.real for y in b]), np.array([y.imag for y in b])
+    with np.errstate(all="ignore"):  # products of 1e300 overflow
+        got = [
+            dynamics._cmul(ar, ai, br, bi),
+            dynamics._cdiv(ar, ai, br, bi),
+            dynamics._cmul(ar, ai, br, 0.0),
+            dynamics._cdiv(ar, ai, br, 0.0),
+        ]
+    assert any(y.imag == 0 for y in b) and any(x.real < 0 for x in a)
+    for k, (x, y) in enumerate(pairs):
+        here = [complex(re[k], im[k]) for re, im in got]
+        assert repr(here) == repr(list(_cpython_ops(x, y))), (x, y)
 
 
 def test_slit_edge_values_match_upper_limits():
-    from quaddyn.dynamics import _slit_edge_to_disk
-
-    for x in (0.75, 1.0, 2.0, -0.75, -1.0, -2.0):
-        limit = slit_to_disk(x + 1e-9j)
-        edge = _slit_edge_to_disk(x, upper=True)
-        assert abs(limit - edge) < 1e-7
-        assert abs(edge) <= 1 + 1e-12
+    # the first edge sample of a crosscut is its left endpoint, exactly
+    xs = (0.75, 1.0, 2.0, -0.75, -1.0, -2.0)
+    edge = _images([(x, x + 0.1) for x in xs])[:, 199]
+    for x, value in zip(xs, edge):
+        assert value == _oracle_slit_edge_to_disk(x, upper=True)
+        assert abs(slit_to_disk(x + 1e-9j) - value) < 1e-7
+        assert abs(value) <= 1 + 1e-12
 
 
 def test_lavrentiev_unit_crosscut_reference():
@@ -566,6 +728,19 @@ def _pairwise_diameter(pts):
     return float(np.abs(pts[None, :] - pts[:, None]).max())
 
 
+def _record_draws(monkeypatch):
+    """Record the (endpoints, distance) of every crosscut the Monte Carlo
+    checks, at the per-draw check it shares with lavrentiev_check."""
+    draws, check = [], dynamics._crosscut
+
+    def recorded(endpoints, distance):
+        draws.append((endpoints, distance))
+        return check(endpoints, distance)
+
+    monkeypatch.setattr(dynamics, "_crosscut", recorded)
+    return draws
+
+
 def test_lavrentiev_diameter_matches_pairwise_oracle(monkeypatch):
     rng = random.Random(11)
     for _ in range(20):
@@ -575,20 +750,14 @@ def test_lavrentiev_diameter_matches_pairwise_oracle(monkeypatch):
         if rng.random() < 0.5:
             pair = (-pair[1], -pair[0])
         result = lavrentiev_check(pair, s - eps)
-        assert result.image_diam == _pairwise_diameter(_crosscut_image(*pair))
+        assert result.image_diam == _pairwise_diameter(_oracle_crosscut_image(*pair))
 
-    check = dynamics.lavrentiev_check
-    seen = []
-
-    def checked(endpoints, distance):
-        result = check(endpoints, distance)
+    draws = _record_draws(monkeypatch)
+    results = lavrentiev_monte_carlo(100)
+    assert len(results) == len(draws) == 100
+    for result, (endpoints, _) in zip(results, draws):
         x1, x2 = sorted(endpoints)
-        assert result.image_diam == _pairwise_diameter(_crosscut_image(x1, x2))
-        seen.append(result)
-        return result
-
-    monkeypatch.setattr(dynamics, "lavrentiev_check", checked)
-    assert len(lavrentiev_monte_carlo(100)) == len(seen) == 100
+        assert result.image_diam == _pairwise_diameter(_oracle_crosscut_image(x1, x2))
 
 
 def _oracle_crosscut_image(x1, x2):
@@ -601,24 +770,84 @@ def _oracle_crosscut_image(x1, x2):
         image.append(slit_to_disk(center + radius * cmath.exp(1j * psi)))
     for k in range(samples + 1):
         x = x1 + (x2 - x1) * k / samples
-        image.append(dynamics._slit_edge_to_disk(x, upper=True))
+        image.append(_oracle_slit_edge_to_disk(x, upper=True))
     return np.array(image)
 
 
+def _assert_images_match_oracle(pairs):
+    for pair, row in zip(pairs, _images(pairs)):
+        assert row.tobytes() == _oracle_crosscut_image(*pair).tobytes(), pair
+
+
 def test_crosscut_image_matches_per_point_oracle(monkeypatch):
-    check = dynamics.lavrentiev_check
-    seen = []
-
-    def checked(endpoints, distance):
-        x1, x2 = sorted(endpoints)
-        got, want = _crosscut_image(x1, x2), _oracle_crosscut_image(x1, x2)
-        assert got.tobytes() == want.tobytes(), (x1, x2)
-        seen.append(endpoints)
-        return check(endpoints, distance)
-
-    monkeypatch.setattr(dynamics, "lavrentiev_check", checked)
+    draws = _record_draws(monkeypatch)
     lavrentiev_monte_carlo(100)
-    assert len(seen) == 100
+    assert len(draws) == 100
+    _assert_images_match_oracle([sorted(endpoints) for endpoints, _ in draws])
+
+
+def _edge_crosscuts():
+    """Admissible crosscuts at the ends of the model: an endpoint at |x| =
+    1/2, both slits, radii from 1e-12 of the centre up, |x| up to 1e6 and
+    2^510, each with a distance that passes the checks."""
+    pairs = []
+    for x in (0.5, 0.5 + 2.0**-52, 0.75, 1.0, 3.7, 1e3, 1e6, 2.0**510 / (1 + 1e-3)):
+        for rel in (1e-12, 1e-9, 1e-6, 1e-3, 0.02):
+            x1, x2 = (x, x * (1 + rel)) if x < 0.6 else (x * (1 - rel), x)
+            for pair in ((x1, x2), (-x2, -x1)):
+                gap = min(map(abs, pair))
+                pairs.append((pair, gap / 2 if rel < 1e-6 else gap * (1 - 1e-9)))
+    return pairs
+
+
+def test_crosscut_images_match_per_point_oracle_on_edge_crosscuts():
+    cuts = _edge_crosscuts()
+    for pair, distance in cuts:
+        lavrentiev_check(pair, distance)  # each is admissible
+    _assert_images_match_oracle([pair for pair, _ in cuts])
+    # the first edge sample is the endpoint at 1/2, where the root is 0
+    assert _images([(0.5, 0.5 + 1e-6)])[0, 199] == 1 + 0j
+    assert _images([(-0.5 - 1e-6, -0.5)])[0, 399] == -1 + 0j
+
+
+def test_lavrentiev_refuses_endpoints_past_two_to_the_510():
+    big = 2.0**511
+    with pytest.raises(InvariantError, match="2\\^510"):
+        lavrentiev_check((big, big * (1 + 1e-12)), big / 2)
+    lavrentiev_check((2.0**510 * (1 - 1e-12), 2.0**510), 2.0**509)
+
+
+@pytest.mark.parametrize(
+    "count", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 5]
+)
+def test_monte_carlo_equals_single_checks(monkeypatch, count):
+    draws = _record_draws(monkeypatch)
+    results = lavrentiev_monte_carlo(count, seed=count)
+    assert len(draws) == count
+    monkeypatch.undo()
+    assert repr(results) == repr([lavrentiev_check(*draw) for draw in draws])
+
+
+def test_edge_crosscut_checks_equal_one_batch():
+    cuts = _edge_crosscuts()
+    batch = dynamics._results([dynamics._crosscut(*cut) for cut in cuts])
+    assert repr(batch) == repr([lavrentiev_check(*cut) for cut in cuts])
+    for result, (pair, _) in zip(batch, cuts):
+        assert result.image_diam == _pairwise_diameter(_oracle_crosscut_image(*sorted(pair)))
+
+
+def test_lavrentiev_working_set_is_bounded_and_quiet():
+    # the --count ceiling; the centroid pruning keeps about 62 of the 400
+    # samples of a Monte Carlo image, so a chunk's pairwise blocks are small
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = lavrentiev_monte_carlo(4096)
+        assert tracemalloc.get_traced_memory()[1] < 16 * 2**20
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 4096 and all(r.holds for r in results)
 
 
 def _clouds():
@@ -633,19 +862,26 @@ def _clouds():
         "one-point": np.array([0.5 + 0.25j] * 5),
         "two-points": np.array([1e-3 + 2j, -4.5 + 0.125j]),
         "disk": radius * np.exp(1j * angle),
-        "crosscut": _crosscut_image(1.09995, 1.10005),
+        "crosscut": _images([(1.09995, 1.10005)])[0],
     }
 
 
 @pytest.mark.parametrize("name", list(_clouds()))
 def test_pruned_diameter_matches_pairwise_oracle(name):
     pts = _clouds()[name]
-    assert _diameter(pts) == _pairwise_diameter(pts)
-    assert _diameter(pts[::-1]) == _pairwise_diameter(pts)
+    assert _diameters(pts[None])[0] == _pairwise_diameter(pts)
+    assert _diameters(pts[None, ::-1])[0] == _pairwise_diameter(pts)
 
 
 def test_pruned_diameter_keeps_a_nan():
-    pts = _clouds()["disk"].copy()
-    pts[17] = complex(math.nan, 0.0)
-    with np.errstate(invalid="ignore"):
-        assert math.isnan(_diameter(pts))
+    # one batch: the NaN row keeps every sample, the others are padded to
+    # its width and keep their own diameters
+    clouds = _clouds()
+    rows = np.array([clouds["circle"], clouds["disk"], clouds["crosscut"]])
+    rows[1, 17] = complex(math.nan, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        diam = _diameters(rows)
+    assert math.isnan(diam[1])
+    assert diam[0] == _pairwise_diameter(rows[0])
+    assert diam[2] == _pairwise_diameter(rows[2])
